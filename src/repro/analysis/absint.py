@@ -39,6 +39,7 @@ dependency lattice carried next to each interval.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -1454,6 +1455,58 @@ def interpret_kernel(kernel: KernelDef,
 
 
 # ---------------------------------------------------------------------------
+# One IR per launch model
+# ---------------------------------------------------------------------------
+
+#: Distinct (source, macros) keys the :func:`model_ir` memo keeps
+#: (least recently used first out).  A full ``lint --deep --traces
+#: --aiwc`` run needs 27.
+IR_MEMO_SIZE = 32
+
+
+@dataclass(frozen=True)
+class ModelIR:
+    """A launch model's source, parsed and interpreted once (read-only)."""
+
+    kernels: tuple[KernelDef, ...]  # in source order
+    summaries: dict[str, KernelSummary]  # kernel name -> summary
+
+    def summary(self, name: str) -> KernelSummary:
+        """The summary of the kernel a launch names."""
+        try:
+            return self.summaries[name]
+        except KeyError:
+            raise CLSourceError(
+                f"launch model references unknown kernel {name!r}"
+            ) from None
+
+
+@functools.lru_cache(maxsize=IR_MEMO_SIZE)
+def _build_ir(source: str, macros: tuple[tuple[str, float], ...]) -> ModelIR:
+    kernels = tuple(parse_source(source).kernels)
+    return ModelIR(kernels, {k.name: interpret_kernel(k, dict(macros))
+                             for k in kernels})
+
+
+def model_ir(model: "object") -> ModelIR:
+    """The IR of a :class:`~repro.dwarfs.base.StaticLaunchModel`.
+
+    Parses the source once and interprets every kernel once under the
+    model's macros exactly as given (no numeric cast), memoized on the
+    source text plus the sorted macros.  Raises
+    :class:`~repro.ocl.clsource.CLSourceError` when the source does not
+    parse.
+    """
+    macros = tuple(sorted(model.macros.items()))  # type: ignore[attr-defined]
+    return _build_ir(model.source, macros)  # type: ignore[attr-defined]
+
+
+def clear_ir_memo() -> None:
+    """Drop every memoized :func:`model_ir` result."""
+    _build_ir.cache_clear()
+
+
+# ---------------------------------------------------------------------------
 # Launch-model evaluation: the §4.4 working-set cross-check
 # ---------------------------------------------------------------------------
 
@@ -1537,9 +1590,7 @@ def static_footprint(model: "object") -> StaticFootprint:
 
 def _static_footprint(model: "object") -> StaticFootprint:
     """The :func:`static_footprint` evaluation, outside its phase span."""
-    kernels = {k.name: k for k in parse_source(model.source).kernels}  # type: ignore[attr-defined]
-    macros = dict(model.macros)  # type: ignore[attr-defined]
-    summaries: dict[str, KernelSummary] = {}
+    ir = model_ir(model)
     computed: dict[str, int] = {key: 0 for key in model.buffers}  # type: ignore[attr-defined]
     fallback: set[str] = set()
     strides: dict[str, dict[str, str]] = {}
@@ -1547,18 +1598,11 @@ def _static_footprint(model: "object") -> StaticFootprint:
 
     for launch in model.launches:  # type: ignore[attr-defined]
         name = launch.kernel
-        if name not in summaries:
-            if name not in kernels:
-                raise CLSourceError(
-                    f"launch model references unknown kernel {name!r}"
-                )
-            summaries[name] = interpret_kernel(kernels[name], macros)
-            strides[name] = summaries[name].strides()
-            symbolic[name] = {
-                a.param: str(a.index)
-                for a in summaries[name].accesses
-            }
-        summary = summaries[name]
+        summary = ir.summary(name)
+        if name not in strides:
+            strides[name] = summary.strides()
+            symbolic[name] = {a.param: str(a.index)
+                              for a in summary.accesses}
         if summary.opaque:
             # nothing to interpret: price every bound buffer at its
             # declared size

@@ -62,12 +62,11 @@ from .absint import (
     Access,
     KernelSummary,
     _launch_env,
-    interpret_kernel,
+    model_ir,
     stride_class,
     sym_eval,
 )
 from .findings import Finding, default_severity
-from .frontend import parse_source
 
 #: Environment toggle selecting the trace provenance for the cache
 #: simulator and counter replay.
@@ -246,22 +245,13 @@ def synthesize_trace(
 def _synthesize_trace(
     model: object, max_len: int
 ) -> tuple[np.ndarray, dict[str, tuple[int, int]]]:
-    kernels = {k.name: k for k in parse_source(model.source).kernels}  # type: ignore[attr-defined]
-    macros = dict(model.macros)  # type: ignore[attr-defined]
+    ir = model_ir(model)
     layout = buffer_layout(model)
     launches = list(model.launches)  # type: ignore[attr-defined]
     per_launch = max(max_len // max(len(launches), 1), 64)
-    summaries: dict[str, KernelSummary] = {}
     parts: list[np.ndarray] = []
     for launch in launches:
-        name = launch.kernel
-        if name not in kernels:
-            raise CLSourceError(
-                f"launch model references unknown kernel {name!r}"
-            )
-        if name not in summaries:
-            summaries[name] = interpret_kernel(kernels[name], macros)
-        summary = summaries[name]
+        summary = ir.summary(launch.kernel)
         bound = dict(launch.buffers)
         if summary.opaque:
             # body-less kernel: stream every bound buffer once
@@ -560,21 +550,17 @@ def access_model_findings(
 ) -> list[Finding]:
     """Race / coalescing / bank-conflict findings for one launch model."""
     try:
-        kernels = {k.name: k for k in parse_source(model.source).kernels}  # type: ignore[attr-defined]
+        summaries = model_ir(model).summaries
     except CLSourceError:
         return []  # the build-failure finding is reported elsewhere
-    macros = dict(model.macros)  # type: ignore[attr-defined]
     suppressions = suppressions or {}
     findings: list[Finding] = []
-    summaries: dict[str, KernelSummary] = {}
     seen: set[str] = set()
     for launch in model.launches:  # type: ignore[attr-defined]
         name = launch.kernel
-        if name in seen or name not in kernels:
+        if name in seen or name not in summaries:
             continue
         seen.add(name)
-        if name not in summaries:
-            summaries[name] = interpret_kernel(kernels[name], macros)
         summary = summaries[name]
         if summary.opaque:
             continue
@@ -776,18 +762,12 @@ def compare_benchmark_traces(
 
 def ir_stride_classes(model: object) -> set[str]:
     """All stride classes of the model's global accesses (any launch)."""
-    kernels = {k.name: k for k in parse_source(model.source).kernels}  # type: ignore[attr-defined]
-    macros = dict(model.macros)  # type: ignore[attr-defined]
+    ir = model_ir(model)
     classes: set[str] = set()
-    summaries: dict[str, KernelSummary] = {}
     for launch in model.launches:  # type: ignore[attr-defined]
-        name = launch.kernel
-        if name not in kernels:
-            continue
-        if name not in summaries:
-            summaries[name] = interpret_kernel(kernels[name], macros)
+        summary = ir.summary(launch.kernel)
         env = _launch_env(launch)
-        for site in classify_launch_sites(summaries[name], env):
+        for site in classify_launch_sites(summary, env):
             if site.space == "global" and site.param in launch.buffers:
                 classes.add(site.stride)
     return classes

@@ -22,7 +22,7 @@ from __future__ import annotations
 from ..dwarfs import registry
 from ..dwarfs.base import StaticLaunchModel
 from ..ocl.clsource import CLSourceError, kernel_suppressions
-from .absint import static_footprint, verify_benchmark_footprint
+from .absint import model_ir, static_footprint, verify_benchmark_footprint
 from .accessmodel import (
     access_model_findings,
     compare_benchmark_traces,
@@ -36,7 +36,7 @@ from .cfg import (
     used_names,
 )
 from .findings import Finding, Report, default_severity
-from .frontend import KernelDef, parse_source
+from .frontend import KernelDef
 from .suite import DEFAULT_DEVICE, run_suite
 
 #: Shallow regex checks replaced by their IR-exact versions in deep
@@ -202,7 +202,7 @@ def deep_lint_model(
     """IR checks over every kernel of one static launch model."""
     findings: list[Finding] = []
     try:
-        program = parse_source(model.source)
+        kernels = model_ir(model).kernels
     except CLSourceError as exc:
         findings.append(Finding(
             check="build-failure", severity="error", benchmark=benchmark,
@@ -216,7 +216,7 @@ def deep_lint_model(
     for launch in model.launches:
         launch_locals.setdefault(launch.kernel, []).append(launch.local_size)
 
-    for kernel in program.kernels:
+    for kernel in kernels:
         findings.extend(deep_lint_kernel(
             kernel,
             suppressions.get(kernel.name, set()),

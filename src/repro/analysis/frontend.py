@@ -898,12 +898,6 @@ def parse_source(source: str) -> ProgramAST:
     return _Parser(tokenize(source), source).parse_program()
 
 
-def kernel_asts(source: str) -> dict[str, KernelDef]:
-    """Parse a source and return its kernels keyed by name."""
-    program = parse_source(source)
-    return {k.name: k for k in program.kernels}
-
-
 # ---------------------------------------------------------------------------
 # Pretty-printer
 # ---------------------------------------------------------------------------

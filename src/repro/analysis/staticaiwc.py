@@ -39,14 +39,13 @@ from .absint import (
     KernelSummary,
     OpEvent,
     _launch_env,
-    interpret_kernel,
+    model_ir,
     static_footprint,
     sym_eval,
 )
 from .accessmodel import AccessSite, classify_launch_sites
 from .cfg import branch_entropy_bound, sync_phases
 from .findings import Finding, default_severity
-from .frontend import KernelDef, parse_source
 
 #: Per-metric divergence scale: a static-vs-dynamic difference equal to
 #: the scale scores 1.0 (the finding threshold).  Log-domain metrics
@@ -371,14 +370,19 @@ class StaticCharacterization:
     footprint_bytes: float
 
 
-def _interpret_model(model: object) -> tuple[
-        dict[str, KernelDef], dict[str, KernelSummary]]:
-    """Parse and abstractly interpret every kernel of a launch model."""
-    kernels = {k.name: k for k in parse_source(model.source).kernels}  # type: ignore[attr-defined]
-    macros = {k: float(v) for k, v in dict(model.macros).items()}  # type: ignore[attr-defined]
-    summaries = {name: interpret_kernel(kernel, macros)
-                 for name, kernel in kernels.items()}
-    return kernels, summaries
+def _aggregate(model: object) -> dict[str, _KernelAgg]:
+    """Per-kernel op and traffic totals over every launch of a model."""
+    ir = model_ir(model)
+    aggs: dict[str, _KernelAgg] = {}
+    for launch in model.launches:  # type: ignore[attr-defined]
+        summary = ir.summary(launch.kernel)
+        env = _launch_env(launch)
+        for macro, value in dict(model.macros).items():  # type: ignore[attr-defined]
+            env.setdefault(macro, float(value))
+        env.update(resolve_trips(summary, launch, model, env))
+        agg = aggs.setdefault(launch.kernel, _KernelAgg())
+        _accumulate_launch(agg, summary, launch, model, env)
+    return aggs
 
 
 def characterize_model(model: object, name: str = "kernel",
@@ -394,21 +398,7 @@ def characterize_model(model: object, name: str = "kernel",
     """
     from ..aiwc.metrics import AIWCMetrics, pattern_entropy_from_weights
 
-    kernels, summaries = _interpret_model(model)
-    aggs: dict[str, _KernelAgg] = {}
-    for launch in model.launches:  # type: ignore[attr-defined]
-        kname = launch.kernel
-        if kname not in summaries:
-            raise CLSourceError(
-                f"launch model references unknown kernel {kname!r}")
-        summary = summaries[kname]
-        env = _launch_env(launch)
-        for macro, value in dict(model.macros).items():  # type: ignore[attr-defined]
-            env.setdefault(macro, float(value))
-        env.update(resolve_trips(summary, launch, model, env))
-        agg = aggs.setdefault(kname, _KernelAgg())
-        _accumulate_launch(agg, summary, launch, model, env)
-
+    aggs = _aggregate(model)
     fp = sum(a.fp for a in aggs.values())
     int_ops = sum(a.int_ops for a in aggs.values())
     chain = sum(a.chain for a in aggs.values())
@@ -422,6 +412,7 @@ def characterize_model(model: object, name: str = "kernel",
     ]
     footprint = float(static_footprint(model).total_bytes)
 
+    kernels = {k.name: k for k in model_ir(model).kernels}
     entropy_bits = sum(
         branch_entropy_bound(kernels[kname]) for kname in aggs
     )
@@ -511,10 +502,10 @@ def model_from_source(source: str, global_size: int = 1024,
     from ..dwarfs.base import StaticBuffer, StaticLaunch, StaticLaunchModel
     from .frontend import type_sizeof
 
-    program = parse_source(source)
+    bare = StaticLaunchModel(source=source, buffers={}, launches=())
     buffers: dict[str, StaticBuffer] = {}
     launches: list[StaticLaunch] = []
-    for kernel in program.kernels:
+    for kernel in model_ir(bare).kernels:
         if not kernel.body.stmts:
             continue
         bound: dict[str, tuple[str, int]] = {}
@@ -553,19 +544,8 @@ def profiles_from_model(model: object) -> list:
     """
     from ..perfmodel.characterization import KernelProfile
 
-    _, summaries = _interpret_model(model)
-    aggs: dict[str, _KernelAgg] = {}
-    for launch in model.launches:  # type: ignore[attr-defined]
-        summary = summaries[launch.kernel]
-        env = _launch_env(launch)
-        for macro, value in dict(model.macros).items():  # type: ignore[attr-defined]
-            env.setdefault(macro, float(value))
-        env.update(resolve_trips(summary, launch, model, env))
-        agg = aggs.setdefault(launch.kernel, _KernelAgg())
-        _accumulate_launch(agg, summary, launch, model, env)
-
     profiles = []
-    for kname, agg in aggs.items():
+    for kname, agg in _aggregate(model).items():
         launches = max(agg.launches, 1)
         total = agg.total_ops
         class_total = sum(agg.class_bytes)

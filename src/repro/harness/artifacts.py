@@ -146,8 +146,11 @@ _memo: dict[str, CellArtifacts] = {}
 
 
 def clear_memo() -> None:
-    """Drop the in-process artifact memo (tests)."""
+    """Drop the in-process artifact memo and the launch-model IR memo."""
+    from ..analysis.absint import clear_ir_memo
+
     _memo.clear()
+    clear_ir_memo()
 
 
 def get_cell_artifacts(benchmark: str, size: str,

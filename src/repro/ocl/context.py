@@ -71,19 +71,23 @@ class Context:
         return len(self._allocations)
 
     # ------------------------------------------------------------------
-    def _register_allocation(self, buf: Buffer) -> None:
+    def _check_allocation(self, size: int) -> None:
+        """Raise if ``size`` more bytes would break the device limits."""
         limit = self.device.global_mem_size
-        if buf.size > limit:
+        if size > limit:
             raise MemObjectAllocationFailure(
-                f"single allocation of {buf.size} bytes exceeds the "
+                f"single allocation of {size} bytes exceeds the "
                 f"{limit}-byte global memory of {self.device.name}"
             )
-        if self._allocated_bytes + buf.size > limit:
+        if self._allocated_bytes + size > limit:
             raise OutOfResources(
-                f"allocating {buf.size} bytes would exceed the "
+                f"allocating {size} bytes would exceed the "
                 f"{limit}-byte global memory of {self.device.name} "
                 f"({self._allocated_bytes} bytes already allocated)"
             )
+
+    def _register_allocation(self, buf: Buffer) -> None:
+        """Charge a built buffer to the context (checked beforehand)."""
         self._allocations[id(buf)] = buf
         self._allocated_bytes += buf.size
         self._peak_allocated_bytes = max(self._peak_allocated_bytes, self._allocated_bytes)

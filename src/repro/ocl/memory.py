@@ -66,6 +66,8 @@ class Buffer:
         #: off this.
         self._host_initialized = hostbuf is not None
 
+        # refuse an over-limit request before any host storage exists
+        context._check_allocation(self.size)
         if hostbuf is not None and MemFlags.USE_HOST_PTR in flags:
             self._array = hostbuf
         elif hostbuf is not None:

@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+from repro.harness.artifacts import clear_memo
 from repro.harness.cli import main
 from repro.harness.runner import RunConfig, run_benchmark
 from repro.harness.sweep import SweepCache, run_sweep
@@ -105,9 +106,18 @@ class TestPropagation:
             assert span.parent_id in cell_ids  # nested under its cell
 
     def test_parallel_topology_equals_serial(self):
-        configs = _configs()
+        # Memoized work runs once per process, so the two topologies
+        # agree only when no two cells share a memo entry: one device
+        # per shape (artifact memo), and benchmarks whose launch-model
+        # macros differ by size (IR memo).  fft's sizes share one IR,
+        # which a serial sweep builds once and each worker builds again.
+        configs = _configs(benchmarks=("srad", "gem"))
+        # cold memos for both sweeps: forked workers inherit the
+        # parent's, which would otherwise hide their artifact spans
+        clear_memo()
         with tracing() as serial:
             serial_results = run_sweep(configs, jobs=1).results
+        clear_memo()
         with tracing() as parallel:
             parallel_results = run_sweep(configs, jobs=2).results
         assert _paths(serial.finished) == _paths(parallel.finished)
