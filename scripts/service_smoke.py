@@ -6,11 +6,13 @@ the same cell, and asserts the service's headline guarantees:
 
 1. the cell is computed exactly once (in-flight dedup > 0);
 2. all three clients receive bit-identical payloads;
-3. a served matrix completes with per-cell results;
+3. a served matrix completes with per-cell results, and skips the
+   sizes a benchmark has no preset for (nqueens is tiny-only);
 4. shutdown is clean (exit 0 within the timeout) and leaves behind a
    merged Perfetto trace with `service_job` spans, a Prometheus
    metrics snapshot with the service instruments, and a job log that
-   renders into the results board.
+   holds one `cell_computed` record per computed cell and renders
+   into the results board.
 
 Run from the repository root:  PYTHONPATH=src python scripts/service_smoke.py
 """
@@ -116,15 +118,20 @@ def main() -> None:
             print(f"dedup verified: computed=1, dedup_hits={dedup:.0f}")
 
             # --- 3: a served matrix -----------------------------------
-            ack = client.submit_matrix(benchmarks=["fft", "csr"],
-                                       sizes=["tiny"], devices=[DEVICE],
-                                       samples=SAMPLES)
-            if ack["type"] != "ack" or len(ack["job_ids"]) != 2:
-                fail(f"matrix not acknowledged: {ack}")
-            records = client.results(2)
+            # fft x {tiny, small} + nqueens x tiny: nqueens has no small
+            ack = client.submit_matrix(benchmarks=["fft", "nqueens"],
+                                       sizes=["tiny", "small"],
+                                       devices=[DEVICE], samples=SAMPLES)
+            if ack["type"] != "ack" or len(ack["job_ids"]) != 3:
+                fail(f"matrix not acknowledged as 3 cells: {ack}")
+            records = client.results(3)
             if not all(r["status"] == "done" for r in records):
                 fail(f"matrix cells failed: {records}")
-            print("served matrix: 2/2 cells done")
+            print("served matrix: 3/3 cells done (nqueens small skipped)")
+            computed = metric_value(client.metrics_text(),
+                                    "sweep_cells_computed_total")
+            if computed != 3.0:
+                fail(f"expected 3 computed cells in all, saw {computed}")
 
             # --- 4: clean shutdown ------------------------------------
             client.shutdown()
@@ -148,10 +155,18 @@ def main() -> None:
         metrics_text = metrics_path.read_text()
         if "service_requests_total" not in metrics_text:
             fail("metrics snapshot is missing the service instruments")
-        job_events = [json.loads(line)["event"]
-                      for line in job_log.read_text().splitlines() if line]
+        log = [json.loads(line)
+               for line in job_log.read_text().splitlines() if line]
+        job_events = {r["event"] for r in log}
         if "job_done" not in job_events:
-            fail(f"job log has no job_done records: {set(job_events)}")
+            fail(f"job log has no job_done records: {job_events}")
+        # fft/small was computed by the three clients with the same
+        # samples, so the computed cells are exactly the matrix's keys
+        computed_keys = [r["key"] for r in log if r["event"] == "cell_computed"]
+        if sorted(computed_keys) != sorted(ack["keys"]):
+            fail(f"cell_computed keys {computed_keys} != acked {ack['keys']}")
+        print(f"job log: {len(computed_keys)} cell_computed records, "
+              "one per computed cell")
 
         board = subprocess.run(
             [sys.executable, "-m", "repro", "regress", "render",

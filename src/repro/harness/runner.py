@@ -49,6 +49,10 @@ DEFAULT_SAMPLES = 50
 #: Minimum looped duration per sample, seconds (paper §2).
 MIN_LOOP_SECONDS = 2.0
 
+#: Decade bucket ladder (1 us .. 10 s) for ``harness_run_mean_seconds``:
+#: modeled kernel times span microseconds (tiny) to seconds (large).
+_MEAN_TIME_BUCKETS = tuple(10.0 ** e for e in range(-6, 2))
+
 
 def cell_seed(seed: int, benchmark: str, size: str, device: str) -> int:
     """Deterministic RNG seed for one (benchmark, size, device) cell.
@@ -267,9 +271,10 @@ def run_benchmark(config: RunConfig, runlog: RunLog | None = None,
     registry.counter("harness_loop_iterations_total",
                      "Benchmark loop iterations implied by the 2 s rule").inc(
         loop_iterations * config.samples)
-    registry.histogram("harness_run_mean_seconds",
-                       "Mean modeled kernel time per group").observe(
-        float(times.mean()), benchmark=config.benchmark)
+    registry.bucket_histogram(
+        "harness_run_mean_seconds", "Mean modeled kernel time per group",
+        buckets=_MEAN_TIME_BUCKETS,
+    ).observe(float(times.mean()), benchmark=config.benchmark)
 
     result = RunResult(
         benchmark=config.benchmark,

@@ -20,10 +20,19 @@ argue reproducible benchmarking needs:
   missing/invalidated cells and an interrupted matrix resumes where it
   stopped.
 
-Observability rides along: every cell gets a ``sweep_cell`` span, the
-``sweep_cells_cached_total`` / ``sweep_cells_computed_total`` counter
-pair tracks cache effectiveness, and each worker's JSONL records are
-merged back into the parent run log (tagged with the worker PID).
+This module also owns what happens to a cell once its key is known,
+for both drivers — :func:`run_sweep` and the ``repro serve`` engine
+(:mod:`repro.service.jobs`):
+
+* :meth:`SweepCache.get` / :meth:`SweepCache.put` (and the artifact
+  pair) share one read path, where any failure is a logged miss, and
+  one write path, where a backend failure is logged and swallowed;
+* :func:`adopt_cell` folds a worker's reply into this process: its
+  JSONL records (tagged with the worker PID) into the run log, its
+  metric snapshot into the registry, its spans under one per-cell span;
+* :func:`count_cell` owns the ``sweep_cells_cached_total`` /
+  ``sweep_cells_computed_total`` counter pair and the
+  ``cell_cached`` / ``cell_computed`` run-log records.
 
 The on-disk cache-entry layout is documented in ``docs/formats.md``.
 """
@@ -215,25 +224,21 @@ def _decode_result_entry(blob: bytes) -> dict:
     """Rebuild a cache envelope from either on-disk representation.
 
     npz blobs (zip magic) are the canonical format; anything else is
-    parsed as a legacy format-1 JSON envelope.  Raises ``ValueError``
-    (or an ``OSError``/``KeyError`` subclass) on torn or alien bytes —
-    the caller maps that to a logged miss.
+    parsed as a legacy format-1 JSON envelope.  Raises one of
+    :data:`_CORRUPT` on torn or alien bytes — :meth:`SweepCache._read`
+    maps that to a logged miss.
     """
     if blob[:2] == b"PK":  # zip magic: the npz envelope
-        try:
-            with np.load(io.BytesIO(blob), allow_pickle=False) as data:
-                entry = json.loads(str(data["meta"]))
-                if entry.get("format") != CACHE_FORMAT:
-                    raise ValueError(
-                        f"cache entry format {entry.get('format')!r} != "
-                        f"{CACHE_FORMAT}")
-                entry["result"]["times_s"] = [
-                    float(t) for t in data["times_s"]]
-                entry["result"]["energies_j"] = [
-                    float(e) for e in data["energies_j"]]
-                return entry
-        except zipfile.BadZipFile as exc:  # torn write / truncation
-            raise ValueError(f"torn npz cache entry: {exc}") from exc
+        with np.load(io.BytesIO(blob), allow_pickle=False) as data:
+            entry = json.loads(str(data["meta"]))
+            if entry.get("format") != CACHE_FORMAT:
+                raise ValueError(
+                    f"cache entry format {entry.get('format')!r} != "
+                    f"{CACHE_FORMAT}")
+            entry["result"]["times_s"] = [float(t) for t in data["times_s"]]
+            entry["result"]["energies_j"] = [
+                float(e) for e in data["energies_j"]]
+            return entry
     entry = json.loads(blob.decode("utf-8"))
     if entry.get("format") != LEGACY_CACHE_FORMAT:
         raise ValueError(
@@ -242,11 +247,64 @@ def _decode_result_entry(blob: bytes) -> dict:
     return entry
 
 
+#: What a torn, truncated or alien entry raises while being read or
+#: decoded (``CacheBackendError`` is an ``OSError``): all of it is a miss.
+_CORRUPT = (OSError, ValueError, KeyError, TypeError, zipfile.BadZipFile)
+
+
+def _encode_artifacts(artifacts) -> bytes:
+    """Serialise :class:`~repro.harness.artifacts.CellArtifacts` to npz.
+
+    The trace and branch arrays are stored as numpy arrays; the scalar
+    fields ride in one JSON ``meta`` string, like the result envelope.
+    """
+    meta = json.dumps({
+        "benchmark": artifacts.benchmark,
+        "size": artifacts.size,
+        "trace_len": artifacts.trace_len,
+        "trace_source": artifacts.trace_source,
+        "footprint_bytes": artifacts.footprint_bytes,
+        "static_bytes": artifacts.static_bytes,
+        "strides": artifacts.strides,
+    })
+    buffer = io.BytesIO()
+    np.savez_compressed(
+        buffer, meta=np.asarray(meta),
+        trace=artifacts.trace,
+        branch_pcs=artifacts.branch_pcs,
+        branch_outcomes=artifacts.branch_outcomes)
+    return buffer.getvalue()
+
+
+def _decode_artifacts(blob: bytes):
+    """Rebuild :class:`~repro.harness.artifacts.CellArtifacts` from npz.
+
+    Raises one of :data:`_CORRUPT` on torn bytes or layout drift (an
+    older ``meta`` lacking a field).
+    """
+    from .artifacts import CellArtifacts
+
+    with np.load(io.BytesIO(blob), allow_pickle=False) as data:
+        meta = json.loads(str(data["meta"]))
+        return CellArtifacts(
+            benchmark=meta["benchmark"],
+            size=meta["size"],
+            trace_len=int(meta["trace_len"]),
+            trace_source=meta["trace_source"],
+            footprint_bytes=int(meta["footprint_bytes"]),
+            static_bytes=meta["static_bytes"],
+            strides=meta["strides"],
+            trace=data["trace"].astype(np.int64, copy=False),
+            branch_pcs=data["branch_pcs"].astype(np.int64, copy=False),
+            branch_outcomes=data["branch_outcomes"].astype(bool, copy=False),
+        )
+
+
 class SweepCache:
     """Content-addressed store of per-cell :class:`RunResult` entries.
 
     Each entry lives under ``<key[:2]>/<key>.npz`` where ``key`` is
-    :meth:`key`'s SHA-256 over the cell's full configuration, the
+    :func:`cell_key`'s SHA-256 over the cell's full configuration, the
     resolved device spec and the :data:`MODEL_VERSION` stamp.  Any
     change to those inputs — different sample count, a re-parameterised
     device, a model bump — yields a different key, so invalidation is
@@ -261,12 +319,14 @@ class SweepCache:
     one ``repro serve --cache-only`` instance.  Encoding lives here, so
     every backend serves byte-identical entries.
 
-    Local writes are atomic (temp file + ``os.replace``) and parent
-    shard directories are created race-tolerantly, so concurrent
-    processes sharing a store never observe torn entries; torn
-    *content* (a truncated npz from a crashed legacy writer, a corrupt
-    remote blob) is read as a miss with a logged warning, never a
-    crash.
+    Every read goes through :meth:`_read` and every write through
+    :meth:`_write`, for results and analysis artifacts alike.  Local
+    writes are atomic (temp file + ``os.replace``) and parent shard
+    directories are created race-tolerantly, so concurrent processes
+    sharing a store never observe torn entries; torn *content* (a
+    truncated npz from a crashed legacy writer, a corrupt remote blob)
+    and an unreachable backend are read as a miss with a logged
+    warning, never a crash.
     """
 
     def __init__(self, root: str | Path | CacheBackend):
@@ -277,93 +337,78 @@ class SweepCache:
             self.root = self.backend.describe()
 
     # ------------------------------------------------------------------
-    def key(self, config: RunConfig, model_version: str | None = None) -> str:
-        """The cache key (SHA-256 hex digest) for one sweep cell.
+    def _local_path(self, kind: str, key: str) -> Path:
+        if not isinstance(self.backend, LocalCacheBackend):
+            raise TypeError(
+                f"{self.backend.describe()} has no local entry paths")
+        return self.backend.path_for(kind, key)
 
-        Parameters
-        ----------
-        config : RunConfig
-            The cell to address.  The device name is canonicalised
-            through the catalog and the *entire* device spec is folded
-            into the digest, so retuning a device's model parameters
-            invalidates its entries.
-        model_version : str, optional
-            Override of the global :data:`MODEL_VERSION` stamp
-            (tests use this to exercise invalidation).
+    def _read(self, kind: str, key: str, decode, span: str):
+        """``decode(blob)`` of ``kind``/``key``, or ``None`` on a miss.
+
+        A corrupt, torn or format-incompatible entry, and a backend
+        failure (an unreachable remote store), are a miss with a logged
+        warning rather than an error — a half-written file from a
+        killed run must not wedge resumes.
         """
-        return cell_key(config, model_version)
+        with get_tracer().span(span, phase="cache_io", key=key) as sp:
+            try:
+                blob = self.backend.read(kind, key)
+                value = None if blob is None else decode(blob)
+            except _CORRUPT as exc:
+                _log.warning("treating %s cache entry %s as a miss "
+                             "(corrupt or unreachable): %s", kind, key, exc)
+                value = None
+            sp.set_attribute("hit", value is not None)
+            return value
 
+    def _write(self, kind: str, key: str, encode, span: str) -> Path | str:
+        """Store ``encode()`` under ``kind``/``key``.
+
+        Returns the entry path for local backends (the historical
+        contract), the key for path-less remote backends.  A backend
+        write failure is logged and swallowed — losing a cache entry
+        must not take the run down.
+        """
+        with get_tracer().span(span, phase="cache_io", key=key):
+            try:
+                self.backend.write(kind, key, encode())
+            except CacheBackendError as exc:
+                _log.warning("sweep cache backend failed to store %s %s: %s",
+                             kind, key, exc)
+                return key
+        if isinstance(self.backend, LocalCacheBackend):
+            return self.backend.path_for(kind, key)
+        return key
+
+    # ------------------------------------------------------------------
     def path_for(self, key: str) -> Path:
         """Where a local backend stores ``key`` (whether or not it exists).
 
         Only meaningful for :class:`LocalCacheBackend` storage; remote
         stores have no client-visible paths.
         """
-        if not isinstance(self.backend, LocalCacheBackend):
-            raise TypeError(
-                f"{self.backend.describe()} has no local entry paths")
-        return self.backend.path_for("result", key)
+        return self._local_path("result", key)
 
-    # ------------------------------------------------------------------
     def get(self, key: str) -> RunResult | None:
-        """Load a cached result, or ``None`` on miss/corruption.
-
-        A corrupt, torn or format-incompatible entry is treated as a
-        miss with a logged warning (the sweep recomputes and overwrites
-        it) rather than an error — a half-written file from a killed
-        run must not wedge resumes.  Backend failures (an unreachable
-        remote store) degrade the same way.
-        """
-        with get_tracer().span("sweep_cache_get", phase="cache_io",
-                               key=key) as sp:
-            try:
-                blob = self.backend.read("result", key)
-                if blob is None:
-                    sp.set_attribute("hit", False)
-                    return None
-                entry = _decode_result_entry(blob)
-                result = result_from_payload(entry["result"])
-                sp.set_attribute("hit", True)
-                return result
-            except CacheBackendError as exc:
-                _log.warning("sweep cache backend failed for %s: %s",
-                             key, exc)
-                sp.set_attribute("hit", False)
-                return None
-            except (OSError, ValueError, KeyError, TypeError) as exc:
-                _log.warning(
-                    "treating corrupt sweep-cache entry %s as a miss: %s",
-                    key, exc)
-                sp.set_attribute("hit", False)
-                return None
+        """Load a cached result, or ``None`` on miss/corruption."""
+        return self._read(
+            "result", key,
+            lambda blob: result_from_payload(
+                _decode_result_entry(blob)["result"]),
+            "sweep_cache_get")
 
     def put(self, key: str, config: RunConfig,
             result: RunResult) -> Path | str:
-        """Persist one cell's result under ``key``.
-
-        Returns the entry path for local backends (the historical
-        contract), the key for path-less remote backends.  A backend
-        write failure (an unreachable remote store) is logged and
-        swallowed — losing a cache entry must not take the run down.
-        """
-        with get_tracer().span("sweep_cache_put", phase="cache_io", key=key):
-            entry = {
-                "format": CACHE_FORMAT,
-                "model_version": MODEL_VERSION,
-                "key": key,
-                "config": dataclasses.asdict(config),
-                "created_unix": time.time(),
-                "result": result_to_payload(result),
-            }
-            try:
-                self.backend.write("result", key, _encode_result_entry(entry))
-            except CacheBackendError as exc:
-                _log.warning("sweep cache backend failed to store %s: %s",
-                             key, exc)
-                return key
-            if isinstance(self.backend, LocalCacheBackend):
-                return self.path_for(key)
-            return key
+        """Persist one cell's result under ``key`` (see :meth:`_write`)."""
+        return self._write("result", key, lambda: _encode_result_entry({
+            "format": CACHE_FORMAT,
+            "model_version": MODEL_VERSION,
+            "key": key,
+            "config": dataclasses.asdict(config),
+            "created_unix": time.time(),
+            "result": result_to_payload(result),
+        }), "sweep_cache_put")
 
     # ------------------------------------------------------------------
     # Analysis artifacts (repro.harness.artifacts), stored alongside
@@ -371,84 +416,21 @@ class SweepCache:
     # ------------------------------------------------------------------
     def artifact_path_for(self, key: str) -> Path:
         """Where a local backend stores the artifact for ``key``."""
-        if not isinstance(self.backend, LocalCacheBackend):
-            raise TypeError(
-                f"{self.backend.describe()} has no local entry paths")
-        return self.backend.path_for("artifact", key)
+        return self._local_path("artifact", key)
 
     def get_artifact(self, key: str):
         """Load cached :class:`~repro.harness.artifacts.CellArtifacts`.
 
         Corruption or layout drift is a miss, exactly like :meth:`get`.
         """
-        from .artifacts import CellArtifacts
-
-        with get_tracer().span("sweep_cache_get_artifact",
-                               phase="cache_io", key=key) as sp:
-            try:
-                blob = self.backend.read("artifact", key)
-                if blob is None:
-                    sp.set_attribute("hit", False)
-                    return None
-                with np.load(io.BytesIO(blob), allow_pickle=False) as data:
-                    meta = json.loads(str(data["meta"]))
-                    artifacts = CellArtifacts(
-                        benchmark=meta["benchmark"],
-                        size=meta["size"],
-                        trace_len=int(meta["trace_len"]),
-                        trace_source=meta["trace_source"],
-                        footprint_bytes=int(meta["footprint_bytes"]),
-                        static_bytes=meta["static_bytes"],
-                        strides=meta["strides"],
-                        trace=data["trace"].astype(np.int64, copy=False),
-                        branch_pcs=data["branch_pcs"].astype(
-                            np.int64, copy=False),
-                        branch_outcomes=data["branch_outcomes"].astype(
-                            bool, copy=False),
-                    )
-                sp.set_attribute("hit", True)
-                return artifacts
-            except (CacheBackendError, OSError, ValueError, KeyError,
-                    TypeError) as exc:
-                _log.warning(
-                    "treating corrupt artifact entry %s as a miss: %s",
-                    key, exc)
-                sp.set_attribute("hit", False)
-                return None
+        return self._read("artifact", key, _decode_artifacts,
+                          "sweep_cache_get_artifact")
 
     def put_artifact(self, key: str, artifacts) -> Path | str:
-        """Persist one shape's artifacts under ``key``.
-
-        Returns the entry path for local backends, the key otherwise.
-        Backend write failures degrade like :meth:`put`.
-        """
-        with get_tracer().span("sweep_cache_put_artifact",
-                               phase="cache_io", key=key):
-            meta = json.dumps({
-                "benchmark": artifacts.benchmark,
-                "size": artifacts.size,
-                "trace_len": artifacts.trace_len,
-                "trace_source": artifacts.trace_source,
-                "footprint_bytes": artifacts.footprint_bytes,
-                "static_bytes": artifacts.static_bytes,
-                "strides": artifacts.strides,
-            })
-            buffer = io.BytesIO()
-            np.savez_compressed(
-                buffer, meta=np.asarray(meta),
-                trace=artifacts.trace,
-                branch_pcs=artifacts.branch_pcs,
-                branch_outcomes=artifacts.branch_outcomes)
-            try:
-                self.backend.write("artifact", key, buffer.getvalue())
-            except CacheBackendError as exc:
-                _log.warning(
-                    "sweep cache backend failed to store artifact %s: %s",
-                    key, exc)
-                return key
-            if isinstance(self.backend, LocalCacheBackend):
-                return self.artifact_path_for(key)
-            return key
+        """Persist one shape's artifacts under ``key`` (like :meth:`put`)."""
+        return self._write("artifact", key,
+                           lambda: _encode_artifacts(artifacts),
+                           "sweep_cache_put_artifact")
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -523,6 +505,50 @@ def _compute_cell(
     return result_to_payload(result), records, default_registry().snapshot(), spans
 
 
+def adopt_cell(reply: tuple, runlog: RunLog | None, registry, span: str,
+               **attrs) -> dict:
+    """Fold one :func:`_compute_cell` reply into this process's telemetry.
+
+    Writes the worker's JSONL records to ``runlog`` (when given), merges
+    its metric snapshot into ``registry`` and grafts its spans under one
+    ``span`` (with ``attrs``) opened here, so a pooled cell has the same
+    span topology as one measured in-process.  Returns the result
+    payload.  Both :func:`run_sweep` and the ``repro serve`` engine
+    call it on the thread that owns their span stack.
+    """
+    payload, records, metrics, spans = reply
+    if runlog is not None:
+        for record in records:
+            runlog.write_record(record)
+    registry.merge_snapshot(metrics)
+    tracer = get_tracer()
+    with tracer.span(span, **attrs):
+        tracer.graft(spans)
+    return payload
+
+
+def count_cell(registry, runlog: RunLog | None, config: RunConfig,
+               key: str | None, cached: bool) -> None:
+    """Account for one finished cell, restored (``cached``) or measured.
+
+    Increments ``sweep_cells_cached_total`` or
+    ``sweep_cells_computed_total`` and writes the matching
+    ``cell_cached`` / ``cell_computed`` run-log record carrying ``key``.
+    Both counters are registered on every call, so an exposition shows
+    the pair even when one of them is still zero.
+    """
+    restored = registry.counter(
+        "sweep_cells_cached_total",
+        "Sweep cells restored from the result cache")
+    measured = registry.counter(
+        "sweep_cells_computed_total", "Sweep cells actually measured")
+    (restored if cached else measured).inc()
+    if runlog is not None:
+        runlog.write("cell_cached" if cached else "cell_computed",
+                     benchmark=config.benchmark, size=config.size,
+                     device=config.device, key=key)
+
+
 def run_sweep(
     configs: list[RunConfig],
     jobs: int | None = None,
@@ -576,12 +602,6 @@ def run_sweep(
     registry = default_registry()
     runlog = runlog if runlog is not None else get_default_runlog()
     jobs = max(1, jobs if jobs is not None else (os.cpu_count() or 1))
-    cached_counter = registry.counter(
-        "sweep_cells_cached_total",
-        "Sweep cells restored from the result cache")
-    computed_counter = registry.counter(
-        "sweep_cells_computed_total",
-        "Sweep cells actually measured")
 
     start = time.perf_counter()
     if runlog is not None:
@@ -589,77 +609,53 @@ def run_sweep(
                      cache_dir=str(cache.root) if cache else None,
                      refresh=refresh)
 
+    keys = [cell_key(c) if cache is not None else None for c in configs]
     results: dict[int, RunResult] = {}
-    pending: list[tuple[int, RunConfig]] = []
-    keys: dict[int, str] = {}
+    pending: list[int] = []
 
-    def _finish(i: int, config: RunConfig, result: RunResult) -> None:
-        computed_counter.inc()
+    def cell_attrs(i: int, cached: bool) -> dict:
+        config = configs[i]
+        return dict(benchmark=config.benchmark, size=config.size,
+                    device=config.device, cached=cached, key=keys[i])
+
+    def finish(i: int, result: RunResult) -> None:
         if cache is not None:
-            cache.put(keys[i], config, result)
-        if runlog is not None:
-            runlog.write("cell_computed", benchmark=config.benchmark,
-                         size=config.size, device=config.device,
-                         key=keys.get(i))
+            cache.put(keys[i], configs[i], result)
+        count_cell(registry, runlog, configs[i], keys[i], cached=False)
         results[i] = result
 
     with tracer.span("run_sweep", phase="sweep",
                      cells=len(configs), jobs=jobs):
         for i, config in enumerate(configs):
             hit = None
-            if cache is not None:
-                keys[i] = cache.key(config)
-                if not refresh:
-                    hit = cache.get(keys[i])
-            if hit is not None:
-                with tracer.span("sweep_cell", benchmark=config.benchmark,
-                                 size=config.size, device=config.device,
-                                 cached=True, key=keys[i]):
-                    pass
-                cached_counter.inc()
-                if runlog is not None:
-                    runlog.write("cell_cached", benchmark=config.benchmark,
-                                 size=config.size, device=config.device,
-                                 key=keys[i])
-                results[i] = hit
-            else:
-                pending.append((i, config))
+            if cache is not None and not refresh:
+                hit = cache.get(keys[i])
+            if hit is None:
+                pending.append(i)
+                continue
+            with tracer.span("sweep_cell", **cell_attrs(i, True)):
+                pass
+            count_cell(registry, runlog, config, keys[i], cached=True)
+            results[i] = hit
 
-        if pending:
-            order = sweep_execution_order([c for _, c in pending])
-            if jobs == 1:
-                for pos in order:
-                    i, config = pending[pos]
-                    with tracer.span("sweep_cell", benchmark=config.benchmark,
-                                     size=config.size, device=config.device,
-                                     cached=False, key=keys.get(i)):
-                        result = run_benchmark(config, runlog=runlog,
-                                               artifact_cache=cache)
-                    _finish(i, config, result)
-            else:
-                trace_ctx = tracer.propagation_context()
-                with ProcessPoolExecutor(max_workers=jobs) as pool:
-                    futures = {
-                        pool.submit(_compute_cell, pending[pos][1],
-                                    trace_ctx): pending[pos]
-                        for pos in order
-                    }
-                    for future in as_completed(futures):
-                        i, config = futures[future]
-                        payload, records, metrics, spans = future.result()
-                        if runlog is not None:
-                            for record in records:
-                                runlog.write_record(record)
-                        registry.merge_snapshot(metrics)
-                        with tracer.span("sweep_cell",
-                                         benchmark=config.benchmark,
-                                         size=config.size,
-                                         device=config.device,
-                                         cached=False, key=keys.get(i)):
-                            # adopt the worker's spans under this cell,
-                            # same topology as the serial path
-                            tracer.graft(spans)
-                        _finish(i, config, result_from_payload(payload))
+        order = [pending[pos] for pos in
+                 sweep_execution_order([configs[i] for i in pending])]
+        if jobs == 1:
+            for i in order:
+                with tracer.span("sweep_cell", **cell_attrs(i, False)):
+                    result = run_benchmark(configs[i], runlog=runlog,
+                                           artifact_cache=cache)
+                finish(i, result)
+        elif order:
+            trace_ctx = tracer.propagation_context()
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                futures = {pool.submit(_compute_cell, configs[i], trace_ctx): i
+                           for i in order}
+                for future in as_completed(futures):
+                    i = futures[future]
+                    payload = adopt_cell(future.result(), runlog, registry,
+                                         "sweep_cell", **cell_attrs(i, False))
+                    finish(i, result_from_payload(payload))
 
     wall_s = time.perf_counter() - start
     outcome = SweepOutcome(

@@ -23,15 +23,16 @@ not need, this one does:
   :func:`repro.scheduling.sweep_execution_order`, the same makespan
   heuristic the batch sweep uses.
 
-Determinism: cells are measured by the same module-level
-:func:`~repro.harness.sweep._compute_cell` worker the batch engine
-uses, so a served result is bit-identical to ``run_matrix`` output for
-the same config (per-cell seeds are process-stable).
+Submit rejects a size the benchmark has no preset for, and
+:func:`expand_matrix` skips such cells, as ``run all`` does.
 
-Telemetry: worker spans are grafted under a completion-time
-``service_job`` span (the span stack is touched only synchronously,
-never across an ``await``), worker metric snapshots merge into the
-server registry, and the engine maintains the service instruments —
+What happens to a cell once its key is known is the batch engine's
+(:mod:`repro.harness.sweep`): the same module-level ``_compute_cell``
+worker (so a served result is bit-identical to ``run_matrix`` output;
+per-cell seeds are process-stable), ``adopt_cell`` to fold the reply
+in under a completion-time ``service_job`` span, and ``count_cell``
+for the ``sweep_cells_*`` counters and ``cell_*`` run-log records.  On
+top of that the engine maintains the service instruments —
 ``service_queue_depth`` / ``service_jobs_inflight`` gauges,
 ``service_requests_total`` / ``service_dedup_hits_total`` /
 ``service_cache_hits_total`` counters and the
@@ -49,8 +50,11 @@ from ..harness.runner import DEFAULT_SAMPLES, RunConfig
 from ..harness.sweep import (
     SweepCache,
     _compute_cell,
+    adopt_cell,
     cell_key,
+    count_cell,
     result_from_payload,
+    result_to_payload,
 )
 from ..telemetry.metrics import default_registry
 from ..telemetry.runlog import get_default_runlog
@@ -112,7 +116,12 @@ class Job:
 
 def expand_matrix(benchmarks=None, sizes=None, devices=None,
                   ) -> list[tuple[str, str, str]]:
-    """A ``submit_matrix`` request's cell list (``None`` = every one)."""
+    """A ``submit_matrix`` request's cell list (``None`` = every one).
+
+    Like ``run all``, a benchmark is crossed only with the sizes it has
+    a preset for.  Unknown names pass through for
+    :meth:`ServiceEngine.submit` to reject.
+    """
     from ..devices.catalog import device_names
     from ..dwarfs.base import SIZES
     from ..dwarfs.registry import BENCHMARKS
@@ -120,7 +129,10 @@ def expand_matrix(benchmarks=None, sizes=None, devices=None,
     benchmarks = list(benchmarks) if benchmarks else sorted(BENCHMARKS)
     sizes = list(sizes) if sizes else list(SIZES)
     devices = list(devices) if devices else list(device_names())
-    return [(b, s, d) for b in benchmarks for s in sizes for d in devices]
+    return [(b, s, d) for b in benchmarks for s in sizes
+            if b not in BENCHMARKS or s not in SIZES
+            or s in BENCHMARKS[b].available_sizes()
+            for d in devices]
 
 
 class ServiceEngine:
@@ -177,11 +189,6 @@ class ServiceEngine:
         self._latency = reg.bucket_histogram(
             "service_cell_latency_seconds",
             "Submit-to-result latency per served job")
-        self._computed = reg.counter(
-            "sweep_cells_computed_total", "Sweep cells actually measured")
-        self._cached_counter = reg.counter(
-            "sweep_cells_cached_total",
-            "Sweep cells restored from the result cache")
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -230,13 +237,14 @@ class ServiceEngine:
         """Queue one cell (or join its in-flight job).
 
         Returns ``(job, deduped)``.  Raises :class:`QueueFull` under
-        backpressure and ``ValueError`` for an unknown
-        benchmark/size/device.
+        backpressure, ``ValueError`` for an unknown benchmark or size
+        or a size the benchmark has no preset for, and ``KeyError``
+        for an unknown device.
         """
         config = self._validated_config(benchmark, size, device,
                                         samples=samples, seed=seed,
                                         execute=execute)
-        key = self.cache.key(config) if self.cache else cell_key(config)
+        key = cell_key(config)
         self._requests.inc(type="submit")
 
         existing = self._by_key.get(key)
@@ -314,9 +322,12 @@ class ServiceEngine:
         if benchmark not in BENCHMARKS:
             raise ValueError(f"unknown benchmark {benchmark!r} "
                              f"(one of {sorted(BENCHMARKS)})")
-        get_benchmark(benchmark)
         if size not in SIZES:
             raise ValueError(f"unknown size {size!r} (one of {list(SIZES)})")
+        offered = get_benchmark(benchmark).available_sizes()
+        if size not in offered:
+            raise ValueError(f"{benchmark} has no {size!r} problem size "
+                             f"(valid: {', '.join(offered)})")
         get_device(device)  # raises KeyError with the catalog listing
         execute = self.execute if execute is None else bool(execute)
         return RunConfig(benchmark=benchmark, size=size, device=device,
@@ -374,6 +385,10 @@ class ServiceEngine:
         """One slot's worth of work; the semaphore is already held."""
         loop = asyncio.get_running_loop()
         tracer = get_tracer()
+        config = job.config
+        attrs = dict(phase="sweep", benchmark=config.benchmark,
+                     size=config.size, device=config.device,
+                     job_id=job.job_id, key=job.key)
         job.state = RUNNING
         try:
             with self._inflight.track_inprogress():
@@ -382,43 +397,27 @@ class ServiceEngine:
                     hit = await loop.run_in_executor(
                         None, self.cache.get, job.key)
                 if hit is not None:
-                    from ..harness.sweep import result_to_payload
                     payload = result_to_payload(hit)
                     self._cache_hits.inc()
-                    self._cached_counter.inc()
-                    self._finish(job, payload, cached=True)
-                    with tracer.span("service_job", phase="sweep",
-                                     benchmark=job.config.benchmark,
-                                     size=job.config.size,
-                                     device=job.config.device,
-                                     job_id=job.job_id, key=job.key,
-                                     cached=True):
+                    with tracer.span("service_job", **attrs, cached=True):
                         pass
-                    return
-                trace_ctx = tracer.propagation_context()
-                payload, records, metrics, spans = (
-                    await loop.run_in_executor(
-                        self._pool, _compute_cell, job.config, trace_ctx))
-                # back on the loop thread: merge worker telemetry, then
-                # open/graft/close the job span with no awaits in
-                # between (the span stack is shared across tasks)
-                if self.runlog is not None:
-                    for record in records:
-                        self.runlog.write_record(record)
-                self.registry.merge_snapshot(metrics)
-                with tracer.span("service_job", phase="sweep",
-                                 benchmark=job.config.benchmark,
-                                 size=job.config.size,
-                                 device=job.config.device,
-                                 job_id=job.job_id, key=job.key,
-                                 cached=False):
-                    tracer.graft(spans)
-                self._computed.inc()
-                if self.cache is not None:
-                    result = result_from_payload(payload)
-                    await loop.run_in_executor(
-                        None, self.cache.put, job.key, job.config, result)
-                self._finish(job, payload, cached=False)
+                else:
+                    reply = await loop.run_in_executor(
+                        self._pool, _compute_cell, config,
+                        tracer.propagation_context())
+                    # back on the loop thread: adopt opens, grafts and
+                    # closes the job span with no await in between (the
+                    # loop thread's span stack is shared across tasks)
+                    payload = adopt_cell(reply, self.runlog, self.registry,
+                                         "service_job", **attrs,
+                                         cached=False)
+                    if self.cache is not None:
+                        await loop.run_in_executor(
+                            None, self.cache.put, job.key, config,
+                            result_from_payload(payload))
+                count_cell(self.registry, self.runlog, config, job.key,
+                           cached=hit is not None)
+                self._finish(job, payload, cached=hit is not None)
         except Exception as exc:  # surface to every subscriber
             job.state = FAILED
             self._by_key.pop(job.key, None)

@@ -26,7 +26,6 @@ from .metrics import (
     BucketHistogram,
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
     default_registry,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "EventBus",
     "GLOBAL_EVENT_BUS",
     "Gauge",
-    "Histogram",
     "KNOWN_PHASES",
     "MetricsRegistry",
     "NOOP_SPAN",

@@ -1,6 +1,6 @@
 """Metrics registry with Prometheus text-format exposition.
 
-Counters, gauges and histograms-with-quantiles, registered by name in a
+Counters, gauges and bucketed histograms, registered by name in a
 :class:`MetricsRegistry` and incremented from the simulated runtime
 (commands enqueued, bytes moved), the harness runner (runs, samples,
 loop iterations, validation failures) and the scheduler.  ``expose()``
@@ -12,25 +12,23 @@ Instruments support optional labels supplied at observation time::
 
     reg = default_registry()
     reg.counter("ocl_commands_enqueued_total").inc(command="ndrange_kernel")
-    reg.histogram("harness_run_mean_seconds").observe(0.004, benchmark="fft")
+    reg.bucket_histogram("harness_cell_duration_seconds").observe(
+        0.004, benchmark="fft", size="tiny")
 
-Histograms are exposed as Prometheus *summaries* (quantile label per
-series plus ``_sum``/``_count``), matching LibSciBench's habit of
-reporting medians and tail quantiles rather than fixed buckets.
+Histograms are true Prometheus *histograms* (cumulative
+``_bucket{le=...}`` series plus ``_sum``/``_count``): constant memory
+per series, and mergeable across the sweep's worker processes.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from contextlib import contextmanager
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
-
-#: Quantiles exposed for every histogram family.
-DEFAULT_QUANTILES = (0.5, 0.9, 0.99)
 
 #: Default bucket boundaries (seconds) for :class:`BucketHistogram` —
 #: the Prometheus client default ladder, which spans the sub-ms model
@@ -169,77 +167,14 @@ class Gauge(MetricFamily):
             yield key, [f"{self.name}{_format_labels(key)} {_format_value(value)}"]
 
 
-class Histogram(MetricFamily):
-    """Observation distribution exposed as a summary with quantiles.
-
-    Observations are kept sorted per label set, so quantiles are exact
-    (the harness records at most tens of thousands of samples per run —
-    LibSciBench keeps every sample too, for its R analysis).
-    """
-
-    type_name = "summary"
-
-    def __init__(self, name: str, help: str = "",
-                 quantiles: tuple = DEFAULT_QUANTILES):
-        super().__init__(name, help)
-        self.quantiles = tuple(quantiles)
-        self._observations: dict[tuple, list[float]] = {}
-        self._sums: dict[tuple, float] = {}
-
-    def observe(self, value: float, **labels) -> None:
-        """Record one observation into a label set's series."""
-        key = _label_key(labels)
-        insort(self._observations.setdefault(key, []), float(value))
-        self._sums[key] = self._sums.get(key, 0.0) + float(value)
-
-    def count(self, **labels) -> int:
-        """Number of observations in one label set's series."""
-        return len(self._observations.get(_label_key(labels), ()))
-
-    def sum(self, **labels) -> float:
-        """Sum of observations in one label set's series."""
-        return self._sums.get(_label_key(labels), 0.0)
-
-    def quantile(self, q: float, **labels) -> float:
-        """Exact q-quantile (nearest-rank interpolation) of one series."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile {q} outside [0, 1]")
-        obs = self._observations.get(_label_key(labels))
-        if not obs:
-            raise ValueError(f"no observations for {self.name}{labels}")
-        if len(obs) == 1:
-            return obs[0]
-        pos = q * (len(obs) - 1)
-        lo = int(pos)
-        hi = min(lo + 1, len(obs) - 1)
-        frac = pos - lo
-        return obs[lo] * (1 - frac) + obs[hi] * frac
-
-    def _series(self):
-        for key, obs in self._observations.items():
-            lines = []
-            for q in self.quantiles:
-                labels = _format_labels(key, (("quantile", str(q)),))
-                value = self.quantile(q, **dict(key))
-                lines.append(f"{self.name}{labels} {_format_value(value)}")
-            lines.append(
-                f"{self.name}_sum{_format_labels(key)} "
-                f"{_format_value(self._sums.get(key, 0.0))}"
-            )
-            lines.append(f"{self.name}_count{_format_labels(key)} {len(obs)}")
-            yield key, lines
-
-
 class BucketHistogram(MetricFamily):
     """A true Prometheus *histogram*: bucketed counts, not quantiles.
 
-    Where :class:`Histogram` keeps every observation and exposes exact
-    quantiles (a summary), this family folds each observation into a
-    fixed bucket ladder in O(log buckets) and exposes the cumulative
-    ``_bucket{le="..."}`` series the Prometheus histogram type
-    requires — constant memory, mergeable across processes, and
-    aggregable across scrape targets.  The sweep records every cell's
-    wall-clock measurement duration here
+    Each observation is folded into a fixed bucket ladder in
+    O(log buckets) and exposed as the cumulative ``_bucket{le="..."}``
+    series the Prometheus histogram type requires — constant memory,
+    mergeable across processes, and aggregable across scrape targets.
+    The sweep records every cell's wall-clock measurement duration here
     (``harness_cell_duration_seconds``).
     """
 
@@ -342,11 +277,6 @@ class MetricsRegistry:
         """Get or create the :class:`Gauge` named ``name``."""
         return self._get_or_create(Gauge, name, help)
 
-    def histogram(self, name: str, help: str = "",
-                  quantiles: tuple = DEFAULT_QUANTILES) -> Histogram:
-        """Get or create the :class:`Histogram` named ``name``."""
-        return self._get_or_create(Histogram, name, help, quantiles=quantiles)
-
     def bucket_histogram(self, name: str, help: str = "",
                          buckets: tuple = DEFAULT_BUCKETS) -> BucketHistogram:
         """Get or create the :class:`BucketHistogram` named ``name``."""
@@ -371,7 +301,7 @@ class MetricsRegistry:
         matters because instrumented modules hold on to their counters.
         """
         for family in self._families.values():
-            for attr in ("_values", "_observations", "_sums", "_counts"):
+            for attr in ("_values", "_sums", "_counts"):
                 store = getattr(family, attr, None)
                 if store is not None:
                     store.clear()
@@ -388,12 +318,7 @@ class MetricsRegistry:
         families = {}
         for name, family in self._families.items():
             entry = {"type": family.type_name, "help": family.help}
-            if isinstance(family, Histogram):
-                entry["series"] = [
-                    [list(key), list(obs), family._sums.get(key, 0.0)]
-                    for key, obs in family._observations.items()
-                ]
-            elif isinstance(family, BucketHistogram):
+            if isinstance(family, BucketHistogram):
                 entry["buckets"] = list(family.buckets)
                 entry["series"] = [
                     [list(key), list(counts), family._sums.get(key, 0.0)]
@@ -410,7 +335,7 @@ class MetricsRegistry:
     def merge_snapshot(self, snapshot: dict) -> None:
         """Fold a :meth:`snapshot` into this registry.
 
-        Counters add, histograms re-observe every sample, gauges take
+        Counters add, histograms add bucket counts, gauges take
         the snapshot's value (last-writer-wins, matching Prometheus
         gauge semantics).
         """
@@ -423,12 +348,6 @@ class MetricsRegistry:
                 family = self.gauge(name, entry.get("help", ""))
                 for key, value in entry["series"]:
                     family.set(value, **{k: v for k, v in key})
-            elif entry["type"] == "summary":
-                family = self.histogram(name, entry.get("help", ""))
-                for key, observations, _ in entry["series"]:
-                    labels = {k: v for k, v in key}
-                    for value in observations:
-                        family.observe(value, **labels)
             elif entry["type"] == "histogram":
                 family = self.bucket_histogram(
                     name, entry.get("help", ""),

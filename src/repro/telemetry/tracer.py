@@ -3,10 +3,14 @@
 A :class:`Tracer` produces nested :class:`Span` records — named,
 attributed, nanosecond-stamped intervals — around harness phases (host
 setup, transfers, the kernel loop, validation) the way an OpenTelemetry
-SDK would around service handlers.  Spans nest via a per-tracer stack,
-so ``with tracer.span("run"): with tracer.span("transfer"): ...``
-yields a parent/child tree that the Chrome-trace exporter renders as
-stacked slices.
+SDK would around service handlers.  Spans nest via a per-tracer,
+per-thread stack, so ``with tracer.span("run"): with
+tracer.span("transfer"): ...`` yields a parent/child tree that the
+Chrome-trace exporter renders as stacked slices, and a span opened on
+one thread never becomes the child of a span open on another (the
+service engine runs cache I/O on executor threads while its loop
+thread opens job spans).  Span ids come from one counter per tracer,
+so they stay unique across threads.
 
 The process-global default tracer starts *disabled*: ``span()`` then
 returns a shared no-op context manager without allocating or recording
@@ -17,7 +21,9 @@ acceptance tests pin down).
 
 from __future__ import annotations
 
+import itertools
 import os
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -137,6 +143,13 @@ class _ActiveSpan:
         return False
 
 
+class _SpanStack(threading.local):
+    """The open spans of one thread, innermost last."""
+
+    def __init__(self):
+        self.spans: list[Span] = []
+
+
 class Tracer:
     """Collects nested spans; disabled by default construction choice.
 
@@ -163,8 +176,8 @@ class Tracer:
                  trace_id: str | None = None):
         self.enabled = enabled
         self._clock = clock
-        self._stack: list[Span] = []
-        self._next_id = 1
+        self._open = _SpanStack()
+        self._ids = itertools.count(1)
         self.finished: list[Span] = []
         self.trace_id = trace_id if trace_id is not None else new_trace_id()
 
@@ -176,27 +189,28 @@ class Tracer:
         return _ActiveSpan(self, name, attributes)
 
     def _start(self, name: str, attributes: dict) -> Span:
-        parent = self._stack[-1] if self._stack else None
+        stack = self._open.spans
+        parent = stack[-1] if stack else None
         span = Span(
             name=name,
-            span_id=self._next_id,
+            span_id=next(self._ids),
             parent_id=parent.span_id if parent else None,
-            depth=len(self._stack),
+            depth=len(stack),
             start_ns=self._clock(),
             attributes=dict(attributes),
             trace_id=self.trace_id,
         )
-        self._next_id += 1
-        self._stack.append(span)
+        stack.append(span)
         return span
 
     def _finish(self, span: Span) -> None:
         span.end_ns = self._clock()
+        stack = self._open.spans
         # tolerate out-of-order exits rather than corrupting the stack
-        if self._stack and self._stack[-1] is span:
-            self._stack.pop()
-        elif span in self._stack:
-            self._stack.remove(span)
+        if stack and stack[-1] is span:
+            stack.pop()
+        elif span in stack:
+            stack.remove(span)
         self.finished.append(span)
 
     # ------------------------------------------------------------------
@@ -242,8 +256,7 @@ class Tracer:
         parent = parent if parent is not None else self.current_span
         idmap: dict[int, int] = {}
         for payload in span_dicts:
-            idmap[payload["span_id"]] = self._next_id
-            self._next_id += 1
+            idmap[payload["span_id"]] = next(self._ids)
         base_depth = (parent.depth + 1) if parent is not None else 0
         grafted: list[Span] = []
         for payload in span_dicts:
@@ -263,8 +276,9 @@ class Tracer:
     # ------------------------------------------------------------------
     @property
     def current_span(self) -> Span | None:
-        """The innermost open span, or ``None`` outside any span."""
-        return self._stack[-1] if self._stack else None
+        """This thread's innermost open span, or ``None`` outside any."""
+        stack = self._open.spans
+        return stack[-1] if stack else None
 
     def enable(self) -> None:
         """Start recording spans."""
@@ -275,9 +289,9 @@ class Tracer:
         self.enabled = False
 
     def clear(self) -> None:
-        """Drop all finished spans and any open stack."""
+        """Drop all finished spans and every thread's open stack."""
         self.finished.clear()
-        self._stack.clear()
+        self._open = _SpanStack()
 
     def to_dicts(self) -> list[dict]:
         """All finished spans as JSON-ready dicts, in completion order."""

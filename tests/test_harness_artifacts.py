@@ -164,6 +164,17 @@ def test_v1_artifact_meta_is_a_miss(tmp_path):
     assert cache.get_artifact(key) is None
 
 
+def test_torn_artifact_npz_is_a_miss(tmp_path):
+    """Half an npz (zip magic intact) is a miss, as for result entries."""
+    cache = SweepCache(tmp_path)
+    key = artifact_key("csr", "tiny", 512)
+    path = cache.put_artifact(key, get_cell_artifacts("csr", "tiny",
+                                                      trace_len=512))
+    blob = path.read_bytes()
+    path.write_bytes(blob[: len(blob) // 2])
+    assert cache.get_artifact(key) is None
+
+
 def test_ir_trace_source_artifacts(tmp_path, monkeypatch):
     cache = SweepCache(tmp_path)
     hand = get_cell_artifacts("csr", "tiny", trace_len=512, cache=cache)

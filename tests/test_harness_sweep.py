@@ -20,6 +20,7 @@ from repro.harness import sweep as crossover_sweep_function  # legacy name
 from repro.harness.sweep import (
     CACHE_FORMAT,
     SweepCache,
+    cell_key,
     default_cache_dir,
     result_from_payload,
     result_to_payload,
@@ -120,16 +121,15 @@ class TestSweepCache:
 
     def test_key_sensitivity(self, tmp_path):
         """Any config coordinate change re-addresses the cell."""
-        cache = SweepCache(tmp_path)
         base = RunConfig("fft", "tiny", "i7-6700K", samples=5)
-        key = cache.key(base)
-        assert cache.key(RunConfig("fft", "tiny", "i7-6700K", samples=6)) != key
-        assert cache.key(RunConfig("fft", "small", "i7-6700K", samples=5)) != key
-        assert cache.key(RunConfig("fft", "tiny", "GTX 1080", samples=5)) != key
+        key = cell_key(base)
+        assert cell_key(RunConfig("fft", "tiny", "i7-6700K", samples=6)) != key
+        assert cell_key(RunConfig("fft", "small", "i7-6700K", samples=5)) != key
+        assert cell_key(RunConfig("fft", "tiny", "GTX 1080", samples=5)) != key
         variant = RunConfig("fft", "tiny", "i7-6700K", samples=5, seed=7)
-        assert cache.key(variant) != key
+        assert cell_key(variant) != key
         # canonicalisation: device name case does not split the cache
-        assert cache.key(RunConfig("fft", "tiny", "I7-6700K", samples=5)) == key
+        assert cell_key(RunConfig("fft", "tiny", "I7-6700K", samples=5)) == key
 
     def test_model_version_bump_invalidates(self, tmp_path, monkeypatch):
         cache = SweepCache(tmp_path)
@@ -145,7 +145,7 @@ class TestSweepCache:
         cache = SweepCache(tmp_path)
         config = RunConfig("fft", "tiny", "i7-6700K", samples=4)
         run_sweep([config], jobs=1, cache=cache)
-        key = cache.key(config)
+        key = cell_key(config)
         cache.path_for(key).write_text("{ truncated garbage")
         with caplog.at_level("WARNING", logger="repro.harness.sweep"):
             assert cache.get(key) is None
@@ -160,7 +160,7 @@ class TestSweepCache:
         cache = SweepCache(tmp_path)
         config = RunConfig("fft", "tiny", "i7-6700K", samples=4)
         run_sweep([config], jobs=1, cache=cache)
-        key = cache.key(config)
+        key = cell_key(config)
         path = cache.path_for(key)
         blob = path.read_bytes()
         assert blob[:2] == b"PK" and path.suffix == ".npz"
@@ -188,7 +188,7 @@ class TestSweepCache:
         cache = SweepCache(tmp_path)
         config = RunConfig("fft", "tiny", "i7-6700K", samples=4)
         run_sweep([config], jobs=1, cache=cache)
-        key = cache.key(config)
+        key = cell_key(config)
         entry = _decode_result_entry(cache.path_for(key).read_bytes())
         assert entry["format"] == CACHE_FORMAT
         entry["format"] = CACHE_FORMAT + 1
@@ -207,7 +207,7 @@ class TestSweepCache:
         fresh = run_sweep(configs, jobs=1)
         for layout, (config, result) in zip(
                 ("sharded", "flat"), zip(configs, fresh.results)):
-            key = cache.key(config)
+            key = cell_key(config)
             entry = json.dumps({
                 "format": LEGACY_CACHE_FORMAT,
                 "model_version": MODEL_VERSION,
@@ -233,7 +233,7 @@ class TestSweepCache:
         cache = SweepCache(tmp_path)
         config = RunConfig("fft", "tiny", "i7-6700K", samples=4)
         run_sweep([config], jobs=1, cache=cache)
-        key = cache.key(config)
+        key = cell_key(config)
         path = cache.path_for(key)
         assert path == tmp_path / key[:2] / f"{key}.npz"
         assert path.exists()

@@ -210,20 +210,40 @@ class TestValidation:
 
         asyncio.run(main())
 
+    def test_size_without_a_preset_is_rejected_at_submit(self):
+        """nqueens has only a tiny preset: asking for it at small must
+        fail at submit, not be queued and then fail in the worker."""
+        async def main():
+            engine = _engine(jobs=1)
+            with pytest.raises(ValueError, match="nqueens has no 'small'"):
+                engine.submit("nqueens", "small", DEVICE, 1)
+            assert not engine._pending and not engine._jobs
+
+        asyncio.run(main())
+
 
 class TestExpandMatrix:
     def test_explicit_cells(self):
         cells = expand_matrix(["fft"], ["tiny", "small"], [DEVICE])
         assert cells == [("fft", "tiny", DEVICE), ("fft", "small", DEVICE)]
 
+    def test_sizes_without_a_preset_are_skipped(self):
+        cells = expand_matrix(["fft", "nqueens"], ["tiny", "small"], [DEVICE])
+        assert cells == [("fft", "tiny", DEVICE), ("fft", "small", DEVICE),
+                         ("nqueens", "tiny", DEVICE)]
+        # unknown names pass through for submit to reject
+        assert expand_matrix(["nope"], ["huge"], [DEVICE]) == [
+            ("nope", "huge", DEVICE)]
+
     def test_defaults_cover_everything(self):
+        """Every benchmark at every size it has a preset for, like
+        ``run all``: 41 (benchmark, size) pairs x 15 devices."""
         from repro.devices.catalog import device_names
-        from repro.dwarfs.base import SIZES
         from repro.dwarfs.registry import BENCHMARKS
 
         cells = expand_matrix()
-        assert len(cells) == (len(BENCHMARKS) * len(SIZES)
-                              * len(device_names()))
+        pairs = sum(len(cls.available_sizes()) for cls in BENCHMARKS.values())
+        assert len(cells) == pairs * len(device_names()) == 615
 
 
 class TestServedTraceCoherence:

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -99,6 +100,81 @@ class TestTracer:
                 pass
         payload = json.dumps(t.to_dicts())
         assert json.loads(payload)[0]["name"] == "a"
+
+    def test_span_stacks_are_per_thread(self):
+        """A span opened on one thread never nests under a span another
+        thread holds open — the service engine runs cache I/O on
+        executor threads while its loop thread opens job spans — and
+        span ids (grafted ones included) stay unique across threads."""
+        import threading
+
+        tracer = Tracer(enabled=True)
+        opened, release = threading.Event(), threading.Event()
+
+        def cache_io():
+            with tracer.span("sweep_cache_get"):
+                opened.set()
+                assert release.wait(timeout=10)
+
+        thread = threading.Thread(target=cache_io)
+        thread.start()
+        try:
+            assert opened.wait(timeout=10)
+            with tracer.span("service_job"):
+                with tracer.span("child"):
+                    pass
+                tracer.graft([{"name": "worker", "span_id": 1}])
+        finally:
+            release.set()
+            thread.join(timeout=10)
+
+        spans = {s.name: s for s in tracer.finished}
+        job = spans["service_job"]
+        assert (job.parent_id, job.depth) == (None, 0)
+        assert spans["sweep_cache_get"].parent_id is None
+        assert spans["child"].parent_id == job.span_id
+        assert spans["worker"].parent_id == job.span_id
+        assert len({s.span_id for s in tracer.finished}) == 4
+
+    def test_span_tree_survives_thread_stress(self):
+        """More threads than cores, switching often: no span is lost,
+        ids stay unique and every child's parent is on its own thread."""
+        import sys
+        import threading
+
+        tracer = Tracer(enabled=True)
+        n_threads, rounds = 8, 200
+
+        def work(tag):
+            for _ in range(rounds):
+                with tracer.span("outer", thread=tag):
+                    with tracer.span("inner", thread=tag):
+                        pass
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,))
+                       for t in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+
+        spans = tracer.finished
+        assert len(spans) == 2 * n_threads * rounds
+        by_id = {s.span_id: s for s in spans}
+        assert len(by_id) == len(spans)
+        for span in spans:
+            if span.name == "outer":
+                assert span.parent_id is None
+            else:
+                parent = by_id[span.parent_id]
+                assert parent.name == "outer"
+                assert parent.attributes["thread"] == span.attributes["thread"]
 
 
 # ----------------------------------------------------------------------
@@ -214,14 +290,12 @@ class TestMetrics:
         g.dec(2)
         assert g.value() == 3
 
-        h = reg.histogram("latency_seconds")
+        h = reg.bucket_histogram("latency_seconds", buckets=(1.5, 3.5))
         for v in (1.0, 2.0, 3.0, 4.0):
             h.observe(v)
         assert h.count() == 4
         assert h.sum() == 10.0
-        assert h.quantile(0.5) == 2.5
-        assert h.quantile(0.0) == 1.0
-        assert h.quantile(1.0) == 4.0
+        assert h.bucket_counts() == {1.5: 1, 3.5: 3, math.inf: 4}
 
     def test_get_or_create_is_idempotent_and_type_checked(self):
         reg = MetricsRegistry()
@@ -239,11 +313,12 @@ class TestMetrics:
     def test_exposition_parses_and_escapes(self):
         reg = MetricsRegistry()
         reg.counter("runs_total", "Runs").inc(device='GTX "1080"')
-        reg.histogram("t_seconds", "Times").observe(0.5, bench="fft")
+        reg.bucket_histogram("t_seconds", "Times").observe(0.5, bench="fft")
         families = parse_prometheus(reg.expose())
         assert families["runs_total"]["type"] == "counter"
-        assert families["t_seconds"]["type"] == "summary"
-        assert any("quantile" in k for k in families["t_seconds"]["samples"])
+        assert families["t_seconds"]["type"] == "histogram"
+        assert 't_seconds_bucket{bench="fft",le="+Inf"}' in (
+            families["t_seconds"]["samples"])
         assert 't_seconds_count{bench="fft"}' in families["t_seconds"]["samples"]
 
     def test_reset_keeps_family_references_valid(self):
