@@ -6,7 +6,9 @@ integrating other benchmark suites and adding custom kernels' (§2).
 This example adds a custom kernel — a 7-point 3-D Jacobi stencil
 (another Structured Grid representative) — through the same public API
 the built-in dwarfs use, then sizes and measures it exactly like the
-rest of the suite.
+rest of the suite.  Like every built-in dwarf, it declares its device
+buffers once, in ``static_launches()``: the footprint is their sum, and
+the IR analyses read the same model.
 
 Run:  python examples/custom_benchmark.py
 """
@@ -14,10 +16,30 @@ Run:  python examples/custom_benchmark.py
 import numpy as np
 
 from repro import ocl
-from repro.dwarfs.base import Benchmark, assert_close
+from repro.dwarfs.base import (Benchmark, StaticBuffer, StaticLaunch,
+                               StaticLaunchModel, assert_close)
 from repro.ocl import Context, KernelSource, MemFlags, Program
 from repro.perfmodel import KernelProfile, iteration_time
 from repro.devices import get_device
+
+#: OpenCL C source of the kernel (what a real OpenCL port would build).
+JACOBI_CL = r"""
+// Structured Grid: one 7-point Jacobi sweep on an n^3 grid
+__kernel void jacobi(__global const float *src, __global float *dst, int n)
+{
+    const int idx = get_global_id(0);
+    const int y = (idx / n) % n, x = idx % n;
+    // boundary cells copy through; the first two tests are the z faces
+    if (idx < n * n || idx >= (n - 1) * n * n
+            || y == 0 || y == n - 1 || x == 0 || x == n - 1) {
+        dst[idx] = src[idx];
+        return;
+    }
+    dst[idx] = (src[idx - n * n] + src[idx + n * n]
+              + src[idx - n] + src[idx + n]
+              + src[idx - 1] + src[idx + 1]) / 6.0f;
+}
+"""
 
 
 def _jacobi_kernel(nd, src, dst, n):
@@ -51,8 +73,22 @@ class Jacobi3D(Benchmark):
     def from_scale(cls, phi, **overrides):
         return cls(n=int(phi), **overrides)
 
-    def footprint_bytes(self) -> int:
-        return 2 * self.n**3 * 4  # ping-pong grids
+    def static_launches(self) -> StaticLaunchModel:
+        """Ping-pong grids ``a`` and ``b``; sweeps alternate between them."""
+        grid = self.n**3 * 4
+        launches = []
+        src, dst = "a", "b"
+        for _ in range(self.sweeps):
+            launches.append(StaticLaunch(
+                "jacobi", (self.n**3,), scalars={"n": self.n},
+                buffers={"src": (src, 0), "dst": (dst, 0)}))
+            src, dst = dst, src
+        return StaticLaunchModel(
+            source=JACOBI_CL,
+            buffers={"a": StaticBuffer("a", grid),
+                     "b": StaticBuffer("b", grid)},
+            launches=tuple(launches),
+        )
 
     def host_setup(self, context: Context) -> None:
         self.context = context
@@ -61,7 +97,8 @@ class Jacobi3D(Benchmark):
         self.buf_a = context.buffer_like(self.grid)
         self.buf_b = context.buffer_like(np.zeros_like(self.grid))
         program = Program(context, [
-            KernelSource("jacobi", _jacobi_kernel, self._profile),
+            KernelSource("jacobi", _jacobi_kernel, self._profile,
+                         cl_source=JACOBI_CL),
         ]).build()
         self.kernel = program.create_kernel("jacobi")
         self._setup_done = True

@@ -28,16 +28,12 @@ from .absint import (
     verify_benchmark_footprint,
 )
 from .accessmodel import (
-    TRACE_SOURCE_ENV,
-    TRACE_SOURCES,
     access_model_findings,
     classify_launch_sites,
     compare_benchmark_traces,
-    ir_access_trace,
     resolve_access_trace,
     reuse_distance_summary,
     synthesize_trace,
-    trace_source,
 )
 from .deep import deep_analyze_benchmark, run_deep_suite
 from .findings import (
@@ -65,8 +61,6 @@ __all__ = [
     "SEVERITIES",
     "SLACK_PER_BUFFER",
     "Sanitizer",
-    "TRACE_SOURCES",
-    "TRACE_SOURCE_ENV",
     "access_model_findings",
     "analyze_benchmark",
     "benchmark_strides",
@@ -75,7 +69,6 @@ __all__ = [
     "deep_analyze_benchmark",
     "default_severity",
     "interpret_kernel",
-    "ir_access_trace",
     "lint_cl_source",
     "lint_program",
     "parse_source",
@@ -89,6 +82,5 @@ __all__ = [
     "strip_noncode",
     "synthesize_trace",
     "tokenize",
-    "trace_source",
     "verify_benchmark_footprint",
 ]

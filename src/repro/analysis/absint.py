@@ -13,7 +13,8 @@ Substituting a concrete :class:`~repro.dwarfs.base.StaticLaunchModel`
 (the per-benchmark launch geometry declared by ``static_launches()``)
 evaluates those ranges numerically and sums per-buffer extents into a
 *static* footprint that :func:`verify_benchmark_footprint` cross-checks
-against the runtime ``footprint_bytes()`` at every size preset.
+against the model's declared buffers (``footprint_bytes()``) at every
+size preset.
 
 Precision machinery, in rough order of importance:
 
@@ -1532,7 +1533,11 @@ class StaticFootprint:
 
 @dataclass
 class FootprintComparison:
-    """Static-vs-runtime working-set comparison for one benchmark/size."""
+    """Addressed-vs-declared working-set comparison for one benchmark/size.
+
+    ``static_bytes`` is the sum of the extents the kernels address;
+    ``runtime_bytes`` is the sum of the declared buffers.
+    """
 
     benchmark: str
     size: str
@@ -1644,12 +1649,12 @@ def _static_footprint(model: "object") -> StaticFootprint:
 def verify_benchmark_footprint(
     name: str, size: str
 ) -> FootprintComparison | None:
-    """Cross-check one benchmark's static vs runtime working set.
+    """Cross-check one benchmark's addressed extents vs declared buffers.
 
-    Returns ``None`` when the benchmark has no such size preset or
-    declares no static launch model.  The comparison's ``ok`` property
-    is the §4.4 acceptance test: agreement within
-    :data:`SLACK_PER_BUFFER` bytes per buffer.
+    Returns ``None`` when the benchmark has no such size preset.  The
+    comparison's ``ok`` property is the §4.4 acceptance test: the
+    extents the kernels address agree with the model's declared
+    buffers within :data:`SLACK_PER_BUFFER` bytes per buffer.
     """
     from ..dwarfs import registry
 
@@ -1658,8 +1663,6 @@ def verify_benchmark_footprint(
         return None
     bench = cls.from_size(size)
     model = bench.static_launches()
-    if model is None:
-        return None
     static = static_footprint(model)
     runtime = bench.footprint_bytes()
     return FootprintComparison(
@@ -1681,8 +1684,4 @@ def benchmark_strides(name: str, size: str | None = None,
     cls = registry.get_benchmark(name)
     sizes = cls.available_sizes()
     chosen = size if size in sizes else sizes[0]
-    bench = cls.from_size(chosen)
-    model = bench.static_launches()
-    if model is None:
-        return {}
-    return static_footprint(model).strides
+    return static_footprint(cls.from_size(chosen).static_launches()).strides

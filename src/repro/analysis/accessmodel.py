@@ -11,11 +11,11 @@ artefacts the rest of the system consumes:
   representative byte-address trace per launch directly from the
   classified access sites (unit/strided sweeps for affine indices,
   full-extent sweeps for loop-carried ones, deterministic uniform
-  gathers for indirect ones).  :func:`resolve_access_trace` selects
-  between this and the hand-authored ``Benchmark.access_trace()``
-  oracle via the ``REPRO_TRACE_SOURCE`` environment toggle, so the
-  cache simulator and the per-cell counter replay can run any kernel
-  with a launch model — no matching hand-written trace required;
+  gathers for indirect ones).  The synthesized trace feeds the
+  differential gate below; the production trace that the cache
+  simulator and the per-cell counter replay consume is the
+  hand-authored ``Benchmark.access_trace()``, fetched through
+  :func:`resolve_access_trace`;
 
 * **IR-exact checks** (``repro lint --deep``) — inter-work-item
   data-race detection (:func:`access_model_findings`; write/write and
@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
 import zlib
 from dataclasses import dataclass
 
@@ -67,13 +66,6 @@ from .absint import (
     sym_eval,
 )
 from .findings import Finding, default_severity
-
-#: Environment toggle selecting the trace provenance for the cache
-#: simulator and counter replay.
-TRACE_SOURCE_ENV = "REPRO_TRACE_SOURCE"
-
-#: Valid values of :data:`TRACE_SOURCE_ENV`.
-TRACE_SOURCES = ("handwritten", "ir")
 
 #: Local-memory bank model (the ubiquitous 32 x 4-byte layout).
 NUM_BANKS = 32
@@ -98,17 +90,6 @@ REUSE_TRACE_LEN = 20_000
 #: agree within this multiplicative factor.
 SPAN_TOLERANCE = 4.0
 TOUCHED_TOLERANCE = 8.0
-
-
-def trace_source() -> str:
-    """The selected trace provenance (``handwritten`` unless overridden)."""
-    value = os.environ.get(TRACE_SOURCE_ENV, "handwritten").strip().lower()
-    if value not in TRACE_SOURCES:
-        raise ValueError(
-            f"{TRACE_SOURCE_ENV} must be one of {TRACE_SOURCES}, "
-            f"got {value!r}"
-        )
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -288,40 +269,16 @@ def _synthesize_trace(
     return trace, layout
 
 
-def ir_access_trace(bench: object,
-                    max_len: int = trace_mod.DEFAULT_MAX_LEN,
-                    ) -> np.ndarray | None:
-    """The IR-derived trace of one benchmark instance.
-
-    ``None`` when the benchmark declares no static launch model (the
-    hand-authored trace is the only option then).
-    """
-    model = bench.static_launches()  # type: ignore[attr-defined]
-    if model is None:
-        return None
-    trace, _layout = synthesize_trace(model, max_len=max_len)
-    return trace
-
-
 def resolve_access_trace(bench: object,
-                         max_len: int = trace_mod.DEFAULT_MAX_LEN,
-                         source: str | None = None) -> np.ndarray:
-    """The access trace under the selected provenance.
+                         max_len: int = trace_mod.DEFAULT_MAX_LEN) -> np.ndarray:
+    """The production access trace of one benchmark instance.
 
-    ``source=None`` reads :data:`TRACE_SOURCE_ENV`.  The ``ir`` source
-    falls back to the hand-authored trace for benchmarks without a
-    static launch model, so sweeps never lose coverage by flipping the
-    toggle.
+    The one place the trace source is decided: the counter replay
+    (:mod:`repro.harness.artifacts`) and ``verify-sizes`` both fetch
+    their trace here.  It is the hand-authored
+    ``Benchmark.access_trace()``; the IR-synthesized trace only feeds
+    the differential gate (:func:`compare_benchmark_traces`).
     """
-    chosen = source if source is not None else trace_source()
-    if chosen not in TRACE_SOURCES:
-        raise ValueError(
-            f"trace source must be one of {TRACE_SOURCES}, got {chosen!r}"
-        )
-    if chosen == "ir":
-        trace = ir_access_trace(bench, max_len=max_len)
-        if trace is not None:
-            return trace
     return bench.access_trace(max_len=max_len)  # type: ignore[attr-defined]
 
 
@@ -689,7 +646,6 @@ def compare_benchmark_traces(
 
     Returns ``(findings, extras)``; a ``trace-divergence`` finding per
     disagreeing size, and the JSON-ready comparison table either way.
-    Benchmarks without a static launch model return ``([], {})``.
     """
     from ..dwarfs import registry
 
@@ -700,8 +656,6 @@ def compare_benchmark_traces(
     for size in sizes:
         bench = cls.from_size(size)
         model = bench.static_launches()
-        if model is None:
-            return [], {}
         hand = bench.access_trace(max_len=max_len)
         ir, _layout = synthesize_trace(model, max_len=max_len)
         spec = bench.trace_spec()

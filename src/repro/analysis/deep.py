@@ -7,9 +7,9 @@ re-implements both on the typed IR (:mod:`repro.analysis.frontend` →
 :mod:`repro.analysis.cfg`), adds checks only an IR can express
 (definite assignment, constant-index bounds, reachability,
 ``reqd_work_group_size`` vs the host's enqueue), and runs the paper's
-§4.4 working-set verification: each benchmark's symbolic global-memory
-footprint (:mod:`repro.analysis.absint`) is cross-checked against its
-runtime ``footprint_bytes()`` at every size preset.
+§4.4 working-set verification: the buffer extents each benchmark's
+kernels address (:mod:`repro.analysis.absint`) are cross-checked
+against the buffers its launch model declares, at every size preset.
 
 Deep mode *composes* with the shallow suite: :func:`run_deep_suite`
 runs the full lifecycle suite with the superseded regex checks
@@ -235,8 +235,9 @@ def deep_analyze_benchmark(
     """Deep-analyse one registered benchmark.
 
     Runs the IR checks over the benchmark's static launch model and
-    cross-checks the symbolic working set against ``footprint_bytes()``
-    at each requested size preset (all available sizes by default).
+    cross-checks the IR-addressed extents against the model's declared
+    buffers at each requested size preset (all available sizes by
+    default).
     Returns ``(findings, extras)`` where ``extras`` holds the JSON
     payload for the report: per-kernel stride classes and the
     per-size footprint comparison.
@@ -245,11 +246,7 @@ def deep_analyze_benchmark(
     available = cls.available_sizes()
     if sizes is None:
         sizes = available
-    bench = cls.from_size(available[0])
-    model = bench.static_launches()
-    if model is None:
-        return [], {}
-
+    model = cls.from_size(available[0]).static_launches()
     findings = deep_lint_model(model, benchmark=name)
     extras: dict = {
         "strides": static_footprint(model).strides,
@@ -274,14 +271,16 @@ def deep_analyze_benchmark(
                 check="footprint-mismatch",
                 severity=default_severity("footprint-mismatch"),
                 benchmark=name, location=f"size {size}",
-                message="symbolic working set "
-                        f"({comparison.static_bytes} B) disagrees with "
-                        f"runtime footprint_bytes() "
-                        f"({comparison.runtime_bytes} B) by "
-                        f"{comparison.delta:+d} B, beyond the "
+                message="declared buffers vs addressed extents: the "
+                        "kernels address "
+                        f"{comparison.static_bytes} B, the launch model "
+                        f"declares {comparison.runtime_bytes} B, "
+                        f"{comparison.delta:+d} B apart, beyond the "
                         f"{comparison.slack_bytes} B alignment slack",
-                hint="the static launch model or the footprint formula is "
-                     "wrong; reconcile them (docs/analysis.md, §4.4)",
+                hint="a declared buffer size or a launch geometry in "
+                     "static_launches() is wrong; reconcile the declared "
+                     "buffers with the addressed extents "
+                     "(docs/analysis.md, §4.4)",
             ))
     return findings, extras
 

@@ -456,17 +456,10 @@ def characterize_model(model: object, name: str = "kernel",
 
 
 def characterize_static(bench: object) -> object:
-    """Static AIWC vector of a sized benchmark (no dynamic profile).
-
-    Raises ``ValueError`` when the benchmark ships no static launch
-    model (nothing to analyse).
-    """
-    model = bench.static_launches()  # type: ignore[attr-defined]
-    if model is None:
-        raise ValueError(
-            f"{bench.name} has no static launch model to characterize")  # type: ignore[attr-defined]
+    """Static AIWC vector of a sized benchmark (no dynamic profile)."""
     return characterize_model(
-        model, name=bench.name, dwarf=bench.dwarf).metrics  # type: ignore[attr-defined]
+        bench.static_launches(),  # type: ignore[attr-defined]
+        name=bench.name, dwarf=bench.dwarf).metrics  # type: ignore[attr-defined]
 
 
 def characterize_suite_static(size: str = "large") -> list:
@@ -615,8 +608,6 @@ def compare_bench_aiwc(bench: object) -> tuple[list[Finding], dict]:
     from ..aiwc.metrics import characterize
 
     model = bench.static_launches()  # type: ignore[attr-defined]
-    if model is None:
-        return [], {}
     name = bench.name  # type: ignore[attr-defined]
     static = characterize_model(
         model, name=name, dwarf=bench.dwarf).metrics  # type: ignore[attr-defined]

@@ -14,12 +14,18 @@ transfer, kernel execution):
    (paper §4.4.2: outputs compared against serial implementations or
    via norms).
 
-Benchmarks also expose their Table 2 problem-size presets, their
-device-side memory footprint (the quantity the paper verifies by
-"printing the sum of the size of all memory allocated on the device"),
-an architecture-independent kernel characterization for the analytic
-model, and a representative memory-access trace for the cache-counter
-verification of §4.4.
+Benchmarks also expose their Table 2 problem-size presets, a static
+launch model (:meth:`Benchmark.static_launches`: the OpenCL C source,
+the device buffers and every kernel launch, declared from the scale
+parameters alone), an architecture-independent kernel characterization
+for the analytic model, and a representative memory-access trace for
+the cache-counter verification of §4.4.
+
+The launch model is the only place a benchmark declares its buffers.
+The device-side footprint — the quantity the paper verifies by
+"printing the sum of the size of all memory allocated on the device" —
+is the sum of those declared buffers, so it cannot drift from what the
+IR analyses read.
 """
 
 from __future__ import annotations
@@ -53,10 +59,10 @@ class ValidationError(AssertionError):
 class StaticBuffer:
     """One device (or host-staging) allocation of a benchmark run.
 
-    ``nbytes`` is the declared size — what ``footprint_bytes()`` prices
-    the buffer at.  ``kernel_bound`` distinguishes buffers some kernel
-    launch binds from host-only staging (those are always priced at
-    their declared size by the static footprint).
+    ``nbytes`` is the declared size; ``footprint_bytes()`` is the sum
+    of the declared sizes.  ``kernel_bound`` distinguishes buffers some
+    kernel launch binds from host-only staging (those are always priced
+    at their declared size by the static footprint).
     """
 
     key: str
@@ -185,18 +191,20 @@ class Benchmark(abc.ABC):
     # Model hooks
     # ------------------------------------------------------------------
     @abc.abstractmethod
-    def footprint_bytes(self) -> int:
-        """Device-side memory footprint (sum of buffer sizes)."""
+    def static_launches(self) -> StaticLaunchModel:
+        """The benchmark's buffers and launch geometry.
 
-    def static_launches(self) -> StaticLaunchModel | None:
-        """The benchmark's launch geometry, for static verification.
-
-        Implementations must not require :meth:`host_setup` — the model
-        is derived from the scale parameters alone, so the §4.4
-        cross-check can price a working set without allocating it.
-        Returning ``None`` (the default) opts out of the cross-check.
+        The one place a benchmark declares its device buffers: the
+        footprint, the IR analyses and the §4.4 cross-check all read
+        this model.  Implementations must not require
+        :meth:`host_setup` — the model is derived from the scale
+        parameters alone, so a working set can be priced without
+        allocating it.
         """
-        return None
+
+    def footprint_bytes(self) -> int:
+        """Device-side memory footprint: the sum of the declared buffers."""
+        return sum(b.nbytes for b in self.static_launches().buffers.values())
 
     @abc.abstractmethod
     def profiles(self) -> list[KernelProfile]:

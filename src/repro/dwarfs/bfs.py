@@ -123,12 +123,6 @@ class BFS(Benchmark):
         extra = max((self.avg_degree - 2) // 2, 1) * self.n
         return 2 * (self.n + extra)
 
-    def footprint_bytes(self) -> int:
-        """CSR adjacency + level labels + frontier flags."""
-        edges = (len(self.columns) if hasattr(self, "columns")
-                 else self._edge_estimate())
-        return (self.n + 1) * 4 + edges * 4 + self.n * 4 + self.n
-
     def static_launches(self) -> StaticLaunchModel:
         n = self.n
         edges = (len(self.columns) if hasattr(self, "columns")

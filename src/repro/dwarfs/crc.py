@@ -172,11 +172,6 @@ class CRC(Benchmark):
         return cls(n_bytes=size, inner_iterations=inner, **overrides)
 
     # ------------------------------------------------------------------
-    def footprint_bytes(self) -> int:
-        """Padded page matrix + lengths + per-page CRCs + lookup table."""
-        return (self.n_pages * self.page_bytes + self.n_pages * 4
-                + self.n_pages * 4 + 256 * 4)
-
     def static_launches(self) -> StaticLaunchModel:
         np_, pb = self.n_pages, self.page_bytes
         return StaticLaunchModel(

@@ -83,16 +83,6 @@ class CSR(Benchmark):
         density = self.density_param / csrfile.DENSITY_DENOMINATOR
         return max(int(round(self.n * self.n * density)), self.n)
 
-    def footprint_bytes(self) -> int:
-        """Matrix arrays + x + y (estimated before generation)."""
-        if self.matrix is not None:
-            nnz = self.matrix.nnz
-        else:
-            nnz = self._nnz_estimate()
-        matrix = (self.n + 1) * 4 + nnz * 8
-        vectors = 2 * self.n * 4
-        return matrix + vectors
-
     def static_launches(self) -> StaticLaunchModel:
         n = self.n
         nnz = self.matrix.nnz if self.matrix is not None else self._nnz_estimate()

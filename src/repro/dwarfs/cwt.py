@@ -118,10 +118,6 @@ class CWT(Benchmark):
         return cls(**kwargs, **overrides)
 
     # ------------------------------------------------------------------
-    def footprint_bytes(self) -> int:
-        """Signal, its spectrum, and the (scales x n) coefficient plane."""
-        return self.n * 4 + self.n * 8 + self.n_scales * self.n * 8
-
     def static_launches(self) -> StaticLaunchModel:
         n = self.n
         launches = [StaticLaunch(

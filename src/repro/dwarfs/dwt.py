@@ -158,10 +158,6 @@ class DWT(Benchmark):
         return cls(width=size[0], height=size[1], levels=levels, **overrides)
 
     # ------------------------------------------------------------------
-    def footprint_bytes(self) -> int:
-        """One float32 working image plus the uint8 source raster."""
-        return self.width * self.height * 4 + self.width * self.height
-
     def static_launches(self) -> StaticLaunchModel:
         launches: list[StaticLaunch] = []
         for h, w in self._level_shapes():

@@ -81,10 +81,6 @@ class FFT(Benchmark):
         return cls(n=int(argv[0]), **overrides)
 
     # ------------------------------------------------------------------
-    def footprint_bytes(self) -> int:
-        """Two complex64 ping-pong buffers."""
-        return 2 * self.n * 8
-
     def static_launches(self) -> StaticLaunchModel:
         n = self.n
         launches: list[StaticLaunch] = []

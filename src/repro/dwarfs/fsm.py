@@ -160,13 +160,6 @@ class FSM(Benchmark):
         return cls(**kwargs, **overrides)
 
     # ------------------------------------------------------------------
-    def footprint_bytes(self) -> int:
-        """Text + DFA tables + per-chunk maps and counters."""
-        return (self.n_bytes
-                + self.transitions.nbytes + self.match_table.nbytes
-                + self.n_chunks * self.n_states * 4     # chunk maps
-                + self.n_chunks * self.n_states * 8)    # chunk counts
-
     def static_launches(self) -> StaticLaunchModel:
         nc, ns = self.n_chunks, self.n_states
         return StaticLaunchModel(

@@ -83,9 +83,6 @@ class GEM(Benchmark):
         return cls(dataset=argv[0], **overrides)
 
     # ------------------------------------------------------------------
-    def footprint_bytes(self) -> int:
-        return self.spec.footprint_bytes
-
     def static_launches(self) -> StaticLaunchModel:
         na, nv = self.spec.n_atoms, self.spec.n_vertices
         return StaticLaunchModel(

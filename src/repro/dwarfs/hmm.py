@@ -141,14 +141,6 @@ class HMM(Benchmark):
         return cls(n_states=n, n_symbols=s, **overrides)
 
     # ------------------------------------------------------------------
-    def footprint_bytes(self) -> int:
-        n, s, t = self.n_states, self.n_symbols, self.t_obs
-        model = (n * n + n * s + n) * 4          # A, B, pi
-        outputs = (n * n + n * s + n) * 4        # re-estimated copies
-        lattices = 2 * t * n * 4                 # alpha, beta
-        seq = t * 4 + t * 4                      # observations + scale
-        return model + outputs + lattices + seq
-
     def static_launches(self) -> StaticLaunchModel:
         n, s, t_obs = self.n_states, self.n_symbols, self.t_obs
         launches: list[StaticLaunch] = []

@@ -107,9 +107,6 @@ class KMeans(Benchmark):
         return cls(n_points=points, n_features=features, **overrides)
 
     # ------------------------------------------------------------------
-    def footprint_bytes(self) -> int:
-        return footprint_formula(self.n_points, self.n_features, self.n_clusters)
-
     def static_launches(self) -> StaticLaunchModel:
         p, f, c = self.n_points, self.n_features, self.n_clusters
         return StaticLaunchModel(

@@ -98,9 +98,6 @@ class LUD(Benchmark):
         return cls(n=int(argv[1]), **overrides)
 
     # ------------------------------------------------------------------
-    def footprint_bytes(self) -> int:
-        return self.n * self.n * 4
-
     def static_launches(self) -> StaticLaunchModel:
         n, b = self.n, self.block
         bind = {"a": ("a", 0)}

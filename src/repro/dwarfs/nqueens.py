@@ -177,14 +177,6 @@ class NQueens(Benchmark):
             return len(expand_prefixes(self.n, min(PREFIX_DEPTH, self.n)))
         return ESTIMATOR_ITEMS
 
-    def footprint_bytes(self) -> int:
-        """Device arrays per mode: prefix states + counters (exact) or
-        seeds + estimates (estimator)."""
-        k = self._subproblem_count()
-        if self.exact:
-            return k * (3 * 4 + 8)   # 3 int32 prefix words + int64 count
-        return k * (8 + 8)           # int64 seed + float64 estimate
-
     def static_launches(self) -> StaticLaunchModel:
         k = self._subproblem_count()
         if self.exact:

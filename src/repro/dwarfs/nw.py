@@ -129,10 +129,6 @@ class NW(Benchmark):
         return cls(n=int(argv[0]), penalty=int(argv[1]), **overrides)
 
     # ------------------------------------------------------------------
-    def footprint_bytes(self) -> int:
-        """Score matrix + similarity matrix (both (N+1)² / N² int32)."""
-        return (self.n + 1) ** 2 * 4 + self.n * self.n * 4
-
     def static_launches(self) -> StaticLaunchModel:
         n, b = self.n, self.block
         nb = n // b

@@ -115,10 +115,6 @@ class SRAD(Benchmark):
                    lam=float(argv[6]), iterations=int(argv[7]), **overrides)
 
     # ------------------------------------------------------------------
-    def footprint_bytes(self) -> int:
-        """J, c and the four derivative arrays (6 fp32 planes)."""
-        return 6 * self.rows * self.cols * 4
-
     def static_launches(self) -> StaticLaunchModel:
         plane = self.rows * self.cols * 4
         keys = ("j_img", "c", "dn", "ds", "dw", "de")

@@ -117,13 +117,6 @@ class UMesh(Benchmark):
         # a planar triangulation has < 3n edges; each stored twice
         return 6 * self.n
 
-    def footprint_bytes(self) -> int:
-        edges = (len(self.columns) if hasattr(self, "columns")
-                 else self._edge_estimate())
-        return ((self.n + 1) * 4 + edges * 4    # CSR adjacency
-                + 2 * self.n * 4                # ping-pong value arrays
-                + self.n)                       # interior mask
-
     def static_launches(self) -> StaticLaunchModel:
         n = self.n
         edges = (len(self.columns) if hasattr(self, "columns")

@@ -38,10 +38,9 @@ from ..dwarfs.registry import get_benchmark
 from ..telemetry.tracer import get_tracer
 
 #: Stamp mixed into every artifact key; bump when the artifact layout
-#: or the synthetic branch-trace model changes.  v2 adds the trace
-#: provenance (``hand`` vs ``ir``) to the key material and the npz
-#: layout, so artifacts from different trace sources never collide.
-ARTIFACT_VERSION = "2"
+#: or the synthetic branch-trace model changes (version history:
+#: docs/formats.md).
+ARTIFACT_VERSION = "3"
 
 #: Trace length replayed per cell (matches repro.sizing.verify).
 DEFAULT_TRACE_LEN = 120_000
@@ -63,15 +62,10 @@ class CellArtifacts:
     benchmark: str
     size: str
     trace_len: int
-    #: Where the access trace came from: ``hand`` (the benchmark's
-    #: declarative trace spec) or ``ir`` (synthesised from the static
-    #: launch model by :mod:`repro.analysis.accessmodel`).
-    trace_source: str
-    #: Runtime footprint formula (``Benchmark.footprint_bytes``).
+    #: Declared device footprint (``Benchmark.footprint_bytes``).
     footprint_bytes: int
-    #: Abstract-interpretation working set; ``None`` when the
-    #: benchmark has no static launch model.
-    static_bytes: int | None
+    #: Abstract-interpretation working set of the launch model.
+    static_bytes: int
     #: Per-kernel, per-parameter stride classes from the IR pipeline.
     strides: dict = field(repr=False)
     #: Representative memory-access trace (int64 byte addresses).
@@ -81,34 +75,17 @@ class CellArtifacts:
     branch_outcomes: np.ndarray = field(repr=False)
 
 
-def _current_trace_source() -> str:
-    """The ``REPRO_TRACE_SOURCE``-selected provenance (lazy import)."""
-    from ..analysis.accessmodel import trace_source
-
-    return trace_source()
-
-
 def artifact_key(benchmark: str, size: str,
-                 trace_len: int = DEFAULT_TRACE_LEN,
-                 trace_source: str | None = None) -> str:
-    """Content hash (SHA-256 hex) addressing one artifact shape.
-
-    ``trace_source`` defaults to the ``REPRO_TRACE_SOURCE``-selected
-    provenance; it is part of the key material, so hand-authored and
-    IR-synthesised artifacts address distinct cache entries.
-    """
-    if trace_source is None:
-        trace_source = _current_trace_source()
+                 trace_len: int = DEFAULT_TRACE_LEN) -> str:
+    """Content hash (SHA-256 hex) addressing one artifact shape."""
     material = json.dumps(
         {"artifact_version": ARTIFACT_VERSION, "benchmark": benchmark,
-         "size": size, "trace_len": trace_len,
-         "trace_source": trace_source},
+         "size": size, "trace_len": trace_len},
         sort_keys=True)
     return hashlib.sha256(material.encode()).hexdigest()
 
 
-def _compute(benchmark: str, size: str, trace_len: int,
-             trace_source: str) -> CellArtifacts:
+def _compute(benchmark: str, size: str, trace_len: int) -> CellArtifacts:
     """Generate the artifacts for one shape (the ``absint`` cost)."""
     from ..analysis.absint import static_footprint
     from ..analysis.accessmodel import resolve_access_trace
@@ -118,16 +95,8 @@ def _compute(benchmark: str, size: str, trace_len: int,
     with get_tracer().span("cell_artifacts", phase="absint",
                            benchmark=benchmark, size=size):
         trace = np.asarray(
-            resolve_access_trace(bench, max_len=trace_len,
-                                 source=trace_source),
-            dtype=np.int64)
-        model = bench.static_launches()
-        static_bytes: int | None = None
-        strides: dict = {}
-        if model is not None:
-            footprint = static_footprint(model)
-            static_bytes = int(footprint.total_bytes)
-            strides = footprint.strides
+            resolve_access_trace(bench, max_len=trace_len), dtype=np.int64)
+        footprint = static_footprint(bench.static_launches())
         n = int(trace.size)
         branch_pcs = np.full(n, _BRANCH_PC, dtype=np.int64)
         branch_outcomes = (
@@ -135,9 +104,9 @@ def _compute(benchmark: str, size: str, trace_len: int,
             != _BRANCH_PERIOD - 1)
         return CellArtifacts(
             benchmark=benchmark, size=size, trace_len=trace_len,
-            trace_source=trace_source,
             footprint_bytes=int(bench.footprint_bytes()),
-            static_bytes=static_bytes, strides=strides, trace=trace,
+            static_bytes=int(footprint.total_bytes),
+            strides=footprint.strides, trace=trace,
             branch_pcs=branch_pcs, branch_outcomes=branch_outcomes,
         )
 
@@ -155,19 +124,15 @@ def clear_memo() -> None:
 
 def get_cell_artifacts(benchmark: str, size: str,
                        trace_len: int = DEFAULT_TRACE_LEN,
-                       cache=None,
-                       trace_source: str | None = None) -> CellArtifacts:
+                       cache=None) -> CellArtifacts:
     """Fetch (or compute) the artifacts for one shape.
 
     Lookup order: in-process memo, then the persistent ``cache``
     (any object with ``get_artifact``/``put_artifact``, i.e. a
     :class:`~repro.harness.sweep.SweepCache`), then a fresh
     computation — which is written back to both layers.
-    ``trace_source`` defaults to the ``REPRO_TRACE_SOURCE`` selection.
     """
-    if trace_source is None:
-        trace_source = _current_trace_source()
-    key = artifact_key(benchmark, size, trace_len, trace_source)
+    key = artifact_key(benchmark, size, trace_len)
     artifacts = _memo.get(key)
     if artifacts is not None:
         _memo.pop(key)
@@ -176,7 +141,7 @@ def get_cell_artifacts(benchmark: str, size: str,
     if cache is not None:
         artifacts = cache.get_artifact(key)
     if artifacts is None:
-        artifacts = _compute(benchmark, size, trace_len, trace_source)
+        artifacts = _compute(benchmark, size, trace_len)
         if cache is not None:
             cache.put_artifact(key, artifacts)
     _memo[key] = artifacts

@@ -1110,8 +1110,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="run the kernel IR pipeline too: CFG/dataflow "
                            "exact checks, the access-model checks "
                            "(data-race, uncoalesced-access, bank-conflict) "
-                           "plus the symbolic working-set verification "
-                           "against footprint_bytes() (paper §4.4)")
+                           "plus the addressed-extents vs declared-buffers "
+                           "footprint verification (paper §4.4)")
     lint.add_argument("--traces", action="store_true",
                       help="differential trace gate (implies --deep): "
                            "cross-check IR-synthesised address traces "

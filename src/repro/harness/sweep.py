@@ -262,7 +262,6 @@ def _encode_artifacts(artifacts) -> bytes:
         "benchmark": artifacts.benchmark,
         "size": artifacts.size,
         "trace_len": artifacts.trace_len,
-        "trace_source": artifacts.trace_source,
         "footprint_bytes": artifacts.footprint_bytes,
         "static_bytes": artifacts.static_bytes,
         "strides": artifacts.strides,
@@ -290,9 +289,8 @@ def _decode_artifacts(blob: bytes):
             benchmark=meta["benchmark"],
             size=meta["size"],
             trace_len=int(meta["trace_len"]),
-            trace_source=meta["trace_source"],
             footprint_bytes=int(meta["footprint_bytes"]),
-            static_bytes=meta["static_bytes"],
+            static_bytes=int(meta["static_bytes"]),
             strides=meta["strides"],
             trace=data["trace"].astype(np.int64, copy=False),
             branch_pcs=data["branch_pcs"].astype(np.int64, copy=False),

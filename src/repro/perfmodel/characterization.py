@@ -128,17 +128,11 @@ def static_profiles(bench: object) -> list[KernelProfile]:
     stage (:mod:`repro.analysis.staticaiwc`) interprets the
     benchmark's :class:`~repro.dwarfs.base.StaticLaunchModel` and
     synthesizes one profile per kernel, so the analytic model and the
-    scheduler can price a kernel that has never run.  Raises
-    ``ValueError`` when the benchmark ships no static launch model.
+    scheduler can price a kernel that has never run.
     """
     from ..analysis.staticaiwc import profiles_from_model
 
-    model = bench.static_launches()  # type: ignore[attr-defined]
-    if model is None:
-        raise ValueError(
-            f"{bench.name} has no static launch model"  # type: ignore[attr-defined]
-            " to derive profiles from")
-    return profiles_from_model(model)
+    return profiles_from_model(bench.static_launches())  # type: ignore[attr-defined]
 
 
 def merge_working_set(profiles: list[KernelProfile]) -> float:

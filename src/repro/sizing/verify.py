@@ -91,12 +91,7 @@ def verify_benchmark_sizes(
     sizes: tuple[str, ...] | None = None,
     trace_len: int = TRACE_LEN,
 ) -> SizeVerification:
-    """Replay a benchmark's trace per size through the cache simulator.
-
-    The trace provenance honours ``REPRO_TRACE_SOURCE``: hand-authored
-    trace specs by default, IR-synthesised traces from the static
-    launch model with ``REPRO_TRACE_SOURCE=ir``.
-    """
+    """Replay a benchmark's trace per size through the cache simulator."""
     from ..analysis.accessmodel import resolve_access_trace
 
     spec = get_device(device) if isinstance(device, str) else device
@@ -118,14 +113,13 @@ def verify_benchmark_sizes(
 def verify_static_footprints(
     benchmark: str, sizes: tuple[str, ...] | None = None
 ) -> dict:
-    """Cross-check symbolic working sets against ``footprint_bytes()``.
+    """Cross-check addressed extents against the declared buffers.
 
     The analytic complement of the cache-counter replay above: for each
     size preset, the benchmark's static launch model is abstractly
-    interpreted (:mod:`repro.analysis.absint`) and the derived
-    working-set bytes are compared with the runtime footprint formula.
-    Returns ``{size: FootprintComparison}``; benchmarks without a
-    static launch model yield an empty mapping.
+    interpreted (:mod:`repro.analysis.absint`) and the extents its
+    kernels address are compared with the buffers it declares.
+    Returns ``{size: FootprintComparison}``.
     """
     from ..analysis.absint import verify_benchmark_footprint
 

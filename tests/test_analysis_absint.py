@@ -1,5 +1,6 @@
 """Symbolic working-set verification (§4.4) and the deep lint suite."""
 
+import dataclasses
 import json
 
 import pytest
@@ -59,15 +60,20 @@ class TestFootprintCrossCheck:
 
 # ---------------------------------------------------------------------------
 class TestCorruptedModelIsCaught:
-    """A wrong working-set formula must trip the cross-check."""
+    """A wrongly declared buffer must trip the cross-check."""
 
     def _broken_kmeans(self):
         cls = registry.get_benchmark("kmeans")
 
         class BrokenKMeans(cls):
-            def footprint_bytes(self):
-                # deliberately corrupted formula: forgets the feature matrix
-                return super().footprint_bytes() // 2
+            def static_launches(self):
+                # deliberately corrupted model: the kernel still sweeps
+                # the whole feature matrix, but only half is declared
+                model = super().static_launches()
+                features = model.buffers["features"]
+                buffers = {**model.buffers, "features": dataclasses.replace(
+                    features, nbytes=features.nbytes // 2)}
+                return dataclasses.replace(model, buffers=buffers)
 
         return BrokenKMeans
 
@@ -77,14 +83,19 @@ class TestCorruptedModelIsCaught:
         comparison = verify_benchmark_footprint("kmeans", "tiny")
         assert not comparison.ok
         assert comparison.delta > comparison.slack_bytes
+        # the undeclared half of the feature matrix is the whole delta
+        assert comparison.delta == comparison.per_buffer["features"] // 2
 
     def test_deep_suite_reports_footprint_mismatch(self, monkeypatch):
         monkeypatch.setitem(registry.BENCHMARKS, "kmeans",
                             self._broken_kmeans())
         report = run_deep_suite(benchmarks=["kmeans"], emit_metrics=False)
         mismatches = [f for f in report if f.check == "footprint-mismatch"]
-        assert mismatches, report.render_text()
+        # one per size preset
+        assert len(mismatches) == 4, report.render_text()
         assert all(f.severity == "error" for f in mismatches)
+        assert all("declared buffers vs addressed extents" in f.message
+                   for f in mismatches)
         assert report.fails("error")
 
     def test_oversized_buffer_in_model_fails(self):

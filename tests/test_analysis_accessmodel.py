@@ -1,6 +1,7 @@
 """IR-derived access model: trace synthesis, race/coalescing/bank
 lints, reuse distances and the differential trace gate."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -10,17 +11,14 @@ from repro.analysis import run_deep_suite
 from repro.analysis.accessmodel import (
     GATE_TRACE_LEN,
     LINE_BYTES,
-    TRACE_SOURCES,
     access_model_findings,
     buffer_layout,
     compare_benchmark_traces,
-    ir_access_trace,
     ir_stride_classes,
     resolve_access_trace,
     reuse_distance_summary,
     stack_distances,
     synthesize_trace,
-    trace_source,
 )
 from repro.analysis.deep import deep_lint_model
 from repro.cache.trace import DEFAULT_MAX_LEN, TraceSpec
@@ -219,36 +217,19 @@ class TestTraceSynthesis:
     @pytest.mark.parametrize("name", ALL_BENCHMARKS)
     def test_every_benchmark_synthesizes(self, name):
         bench = registry.get_benchmark(name).from_size("tiny")
-        trace = ir_access_trace(bench, max_len=2048)
-        assert trace is not None and trace.size > 0
+        trace, _layout = synthesize_trace(bench.static_launches(),
+                                          max_len=2048)
+        assert trace.size > 0
         assert ir_stride_classes(bench.static_launches())
 
-    def test_resolve_follows_the_env_toggle(self, monkeypatch):
+    def test_resolve_returns_the_hand_authored_trace(self):
+        """The production trace is the hand-authored one; the IR trace
+        only feeds the differential gate."""
         bench = registry.get_benchmark("kmeans").from_size("tiny")
-        monkeypatch.delenv("REPRO_TRACE_SOURCE", raising=False)
-        assert trace_source() == "handwritten"
-        hand = resolve_access_trace(bench, max_len=2048)
-        assert np.array_equal(hand, bench.access_trace(max_len=2048))
-        monkeypatch.setenv("REPRO_TRACE_SOURCE", "ir")
-        assert trace_source() == "ir"
-        ir = resolve_access_trace(bench, max_len=2048)
-        assert np.array_equal(ir, ir_access_trace(bench, max_len=2048))
-        assert not np.array_equal(ir, hand)
-
-    def test_explicit_source_overrides_the_env(self, monkeypatch):
-        bench = registry.get_benchmark("crc").from_size("tiny")
-        monkeypatch.setenv("REPRO_TRACE_SOURCE", "ir")
-        forced = resolve_access_trace(bench, max_len=2048,
-                                      source="handwritten")
-        assert np.array_equal(forced, bench.access_trace(max_len=2048))
-
-    def test_invalid_source_raises(self, monkeypatch):
-        bench = registry.get_benchmark("crc").from_size("tiny")
-        with pytest.raises(ValueError):
-            resolve_access_trace(bench, source="oracle")
-        monkeypatch.setenv("REPRO_TRACE_SOURCE", "psychic")
-        with pytest.raises(ValueError):
-            trace_source()
+        resolved = resolve_access_trace(bench, max_len=2048)
+        assert np.array_equal(resolved, bench.access_trace(max_len=2048))
+        ir, _layout = synthesize_trace(bench.static_launches(), max_len=2048)
+        assert not np.array_equal(resolved, ir)
 
 
 # ---------------------------------------------------------------------------
@@ -362,10 +343,11 @@ class TestCounterEquivalence:
     @pytest.mark.parametrize("name", ALL_BENCHMARKS)
     def test_tiny_counters_within_tolerance(self, name):
         spec = get_device("i7-6700K")
-        hand = _compute(name, "tiny", 20_000, "handwritten")
-        ir = _compute(name, "tiny", 20_000, "ir")
-        assert hand.trace_source == "handwritten"
-        assert ir.trace_source == "ir"
+        hand = _compute(name, "tiny", 20_000)
+        model = registry.get_benchmark(name).from_size(
+            "tiny").static_launches()
+        ir = dataclasses.replace(
+            hand, trace=synthesize_trace(model, max_len=20_000)[0])
         counters_hand = simulate_cell_counters(spec, hand)
         counters_ir = simulate_cell_counters(spec, ir)
         for event in ("PAPI_L1_DCM", "PAPI_L2_DCM", "PAPI_L3_TCM",
@@ -416,6 +398,5 @@ class TestDeepSuiteAndCli:
         assert table["ok"] is True
         assert table["indirect_hand"] and table["indirect_ir"]
 
-    def test_trace_sources_constant(self):
-        assert TRACE_SOURCES == ("handwritten", "ir")
+    def test_line_bytes_constant(self):
         assert LINE_BYTES == 64

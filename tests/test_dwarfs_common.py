@@ -57,14 +57,18 @@ class TestLifecycle:
 
     def test_footprint_matches_allocation(self, name, cpu_context):
         """The paper verifies footprints by printing the sum of device
-        allocations; our footprint_bytes must agree with the context's
-        accounting (within 2% for benchmarks whose data is generated
-        stochastically)."""
-        bench = create(name, "tiny")
-        bench.host_setup(cpu_context)
-        declared = bench.footprint_bytes()
-        allocated = cpu_context.allocated_bytes
-        assert allocated == pytest.approx(declared, rel=0.02)
+        allocations; the buffers the launch model declares must sum to
+        exactly what host_setup allocates, at tiny and small."""
+        sizes = [s for s in ("tiny", "small")
+                 if s in get_benchmark(name).presets]
+        for size in sizes:
+            context = ocl.Context(cpu_context.device)
+            try:
+                bench = create(name, size)
+                bench.host_setup(context)
+                assert context.allocated_bytes == bench.footprint_bytes(), size
+            finally:
+                context.release_all()
 
     def test_profiles_well_formed(self, name):
         bench = create(name, "tiny")

@@ -56,17 +56,6 @@ def test_artifact_key_depends_on_version(monkeypatch):
     assert artifact_key("csr", "tiny") != before
 
 
-def test_artifact_key_depends_on_trace_source(monkeypatch):
-    hand = artifact_key("csr", "tiny", trace_source="handwritten")
-    ir = artifact_key("csr", "tiny", trace_source="ir")
-    assert hand != ir
-    # the default provenance follows REPRO_TRACE_SOURCE
-    monkeypatch.delenv("REPRO_TRACE_SOURCE", raising=False)
-    assert artifact_key("csr", "tiny") == hand
-    monkeypatch.setenv("REPRO_TRACE_SOURCE", "ir")
-    assert artifact_key("csr", "tiny") == ir
-
-
 # ----------------------------------------------------------------------
 # Memo and computation
 # ----------------------------------------------------------------------
@@ -74,9 +63,9 @@ def test_get_cell_artifacts_memoizes(monkeypatch):
     calls = []
     real_compute = art._compute
 
-    def counting(benchmark, size, trace_len, trace_source):
+    def counting(benchmark, size, trace_len):
         calls.append((benchmark, size))
-        return real_compute(benchmark, size, trace_len, trace_source)
+        return real_compute(benchmark, size, trace_len)
 
     monkeypatch.setattr(art, "_compute", counting)
     first = get_cell_artifacts("csr", "tiny", trace_len=512)
@@ -87,6 +76,7 @@ def test_get_cell_artifacts_memoizes(monkeypatch):
     assert first.trace.size <= 512
     assert first.branch_pcs.shape == first.branch_outcomes.shape
     assert first.footprint_bytes > 0
+    assert isinstance(first.static_bytes, int) and first.static_bytes > 0
 
 
 def test_memo_is_bounded(monkeypatch):
@@ -103,9 +93,9 @@ def test_memo_is_bounded(monkeypatch):
 # ----------------------------------------------------------------------
 def _equal_artifacts(a: CellArtifacts, b: CellArtifacts) -> bool:
     return (
-        (a.benchmark, a.size, a.trace_len, a.trace_source,
+        (a.benchmark, a.size, a.trace_len,
          a.footprint_bytes, a.static_bytes, a.strides)
-        == (b.benchmark, b.size, b.trace_len, b.trace_source,
+        == (b.benchmark, b.size, b.trace_len,
             b.footprint_bytes, b.static_bytes, b.strides)
         and np.array_equal(a.trace, b.trace)
         and np.array_equal(a.branch_pcs, b.branch_pcs)
@@ -150,7 +140,7 @@ def test_artifact_corruption_is_a_miss(tmp_path):
 
 
 def test_v1_artifact_meta_is_a_miss(tmp_path):
-    """Pre-provenance entries (no trace_source in meta) reload as a miss."""
+    """Entries whose meta lacks a field (older layouts) reload as a miss."""
     cache = SweepCache(tmp_path)
     original = get_cell_artifacts("csr", "tiny", trace_len=512)
     key = artifact_key("csr", "tiny", 512)
@@ -159,7 +149,7 @@ def test_v1_artifact_meta_is_a_miss(tmp_path):
         meta = json.loads(str(data["meta"]))
         arrays = {k: data[k] for k in ("trace", "branch_pcs",
                                        "branch_outcomes")}
-    del meta["trace_source"]
+    del meta["strides"]
     np.savez_compressed(path, meta=np.asarray(json.dumps(meta)), **arrays)
     assert cache.get_artifact(key) is None
 
@@ -173,24 +163,6 @@ def test_torn_artifact_npz_is_a_miss(tmp_path):
     blob = path.read_bytes()
     path.write_bytes(blob[: len(blob) // 2])
     assert cache.get_artifact(key) is None
-
-
-def test_ir_trace_source_artifacts(tmp_path, monkeypatch):
-    cache = SweepCache(tmp_path)
-    hand = get_cell_artifacts("csr", "tiny", trace_len=512, cache=cache)
-    assert hand.trace_source == "handwritten"
-    clear_memo()
-    monkeypatch.setenv("REPRO_TRACE_SOURCE", "ir")
-    ir = get_cell_artifacts("csr", "tiny", trace_len=512, cache=cache)
-    assert ir.trace_source == "ir"
-    assert not np.array_equal(ir.trace, hand.trace)
-    # both provenances round-trip through the npz layer independently
-    clear_memo()
-    reloaded = cache.get_artifact(artifact_key("csr", "tiny", 512, "ir"))
-    assert reloaded is not None and _equal_artifacts(reloaded, ir)
-    reloaded = cache.get_artifact(
-        artifact_key("csr", "tiny", 512, "handwritten"))
-    assert reloaded is not None and _equal_artifacts(reloaded, hand)
 
 
 def test_result_cache_len_ignores_artifacts(tmp_path):

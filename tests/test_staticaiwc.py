@@ -196,18 +196,6 @@ def test_characterize_suite_static_covers_extensions():
         assert all(math.isfinite(v) for v in m.vector())
 
 
-def test_characterize_static_requires_model():
-    class NoModel:
-        name = "nomodel"
-        dwarf = "test"
-
-        def static_launches(self):
-            return None
-
-    with pytest.raises(ValueError):
-        characterize_static(NoModel())
-
-
 # ----------------------------------------------------------------------
 # model_from_source (user-supplied .cl kernels)
 # ----------------------------------------------------------------------
