@@ -1,20 +1,21 @@
 """Kernel sanitizer and lint suite for the simulated OpenCL runtime.
 
 An Oclgrind-style analysis layer (paper §4.4's verification step,
-automated): a **static lint** pass over OpenCL C sources and host-side
+automated): a **host-side lint** over built programs and their
 argument bindings (:mod:`repro.analysis.lint`) and an opt-in **runtime
 sanitizer** that executes kernels against shadow-memory guards
-(:mod:`repro.analysis.sanitize`).  Both emit :class:`Finding` records
-collected by a :class:`Report`; :func:`run_suite` drives the whole
-thing and backs the ``repro lint`` CLI subcommand.
+(:mod:`repro.analysis.sanitize`), both driven over the benchmark life
+cycle by :func:`run_suite`.
 
-On top of the textual pass sits the **kernel IR** pipeline: an OpenCL
-C frontend (:mod:`repro.analysis.frontend`), per-kernel control-flow
-graphs with dominator analyses (:mod:`repro.analysis.cfg`), and an
-abstract interpreter deriving symbolic memory footprints
-(:mod:`repro.analysis.absint`).  :func:`run_deep_suite` (``repro lint
---deep``) layers the IR-exact checks and the §4.4 static-vs-runtime
-working-set verification on the shallow suite.
+Kernel bodies are checked on the **kernel IR**: an OpenCL C frontend
+(:mod:`repro.analysis.frontend`), per-kernel control-flow graphs with
+dominator analyses (:mod:`repro.analysis.cfg`), and an abstract
+interpreter deriving symbolic memory footprints
+(:mod:`repro.analysis.absint`).  :func:`run_deep_suite` backs the
+``repro lint`` CLI subcommand: it layers the IR checks, the §4.4
+addressed-vs-declared working-set verification and the trace and AIWC
+differential gates on the lifecycle suite.  Every :class:`Finding`
+lands in one :class:`Report`.
 
 See docs/analysis.md for the check catalogue, severity semantics,
 suppression directives and the JSON report schema.
@@ -35,7 +36,7 @@ from .accessmodel import (
     reuse_distance_summary,
     synthesize_trace,
 )
-from .deep import deep_analyze_benchmark, run_deep_suite
+from .deep import deep_analyze_benchmark, lint_cl_source, run_deep_suite
 from .findings import (
     FAIL_ON_CHOICES,
     JSON_SCHEMA_VERSION,
@@ -45,8 +46,8 @@ from .findings import (
     default_severity,
     severity_rank,
 )
-from .frontend import CLSyntaxError, parse_source, strip_noncode, tokenize
-from .lint import lint_cl_source, lint_program
+from .frontend import CLSyntaxError, parse_source, tokenize
+from .lint import lint_program
 from .sanitize import GuardedNDArray, Sanitizer, sanitized
 from .suite import DEFAULT_DEVICE, analyze_benchmark, run_suite
 
@@ -79,7 +80,6 @@ __all__ = [
     "sanitized",
     "severity_rank",
     "static_footprint",
-    "strip_noncode",
     "synthesize_trace",
     "tokenize",
     "verify_benchmark_footprint",

@@ -1460,8 +1460,8 @@ def interpret_kernel(kernel: KernelDef,
 # ---------------------------------------------------------------------------
 
 #: Distinct (source, macros) keys the :func:`model_ir` memo keeps
-#: (least recently used first out).  A full ``lint --deep --traces
-#: --aiwc`` run needs 27.
+#: (least recently used first out).  A full ``repro lint`` run needs
+#: 27.
 IR_MEMO_SIZE = 32
 
 

@@ -17,7 +17,7 @@ artefacts the rest of the system consumes:
   hand-authored ``Benchmark.access_trace()``, fetched through
   :func:`resolve_access_trace`;
 
-* **IR-exact checks** (``repro lint --deep``) — inter-work-item
+* **IR-exact checks** (part of ``repro lint``) — inter-work-item
   data-race detection (:func:`access_model_findings`; write/write and
   read/write overlap modulo the barrier epochs recorded by the
   interpreter), uncoalesced-global-access and local-memory
@@ -27,7 +27,7 @@ artefacts the rest of the system consumes:
   the synthesized trace (:func:`reuse_distance_summary`), attached to
   the deep-lint extras;
 
-* the **differential trace gate** (``repro lint --traces``) —
+* the **differential trace gate** (part of ``repro lint``) —
   :func:`compare_benchmark_traces` cross-checks the IR-derived trace
   against the hand-authored oracle per size preset: byte spans against
   the runtime footprint, indirect-access agreement against the
@@ -66,6 +66,7 @@ from .absint import (
     sym_eval,
 )
 from .findings import Finding, default_severity
+from .lint import _suppressed
 
 #: Local-memory bank model (the ubiquitous 32 x 4-byte layout).
 NUM_BANKS = 32
@@ -493,13 +494,6 @@ def _bank_conflict_findings(summary: KernelSummary, env: dict[str, float],
     return findings
 
 
-def _suppressed(allows: set, check: str, name: str | None = None) -> bool:
-    """Whether ``// repro-lint: allow(...)`` covers this finding."""
-    return (check, None) in allows or (
-        name is not None and (check, name) in allows
-    )
-
-
 def access_model_findings(
     model: object,
     benchmark: str | None = None,
@@ -608,7 +602,7 @@ def reuse_distance_summary(model: object,
 
 
 # ---------------------------------------------------------------------------
-# Differential trace gate (repro lint --traces)
+# Differential trace gate (part of repro lint)
 # ---------------------------------------------------------------------------
 
 
@@ -650,7 +644,8 @@ def compare_benchmark_traces(
     from ..dwarfs import registry
 
     cls = registry.get_benchmark(name)
-    sizes = sizes or cls.available_sizes()
+    if sizes is None:
+        sizes = cls.available_sizes()
     findings: list[Finding] = []
     table: dict[str, dict] = {}
     for size in sizes:

@@ -6,8 +6,8 @@ ENTRY/EXIT nodes, on which the module computes dominators,
 post-dominators, reachability, and an *exact* barrier-divergence
 analysis.
 
-Barrier divergence is decided by control dependence rather than the
-PR 3 regex heuristic: a node is *divergently executed* iff it is
+Barrier divergence is decided by control dependence rather than a
+textual heuristic: a node is *divergently executed* iff it is
 control-dependent on a branch whose condition is work-item dependent
 (tainted by ``get_global_id``/``get_local_id``/``get_group_id`` or by a
 memory load), or on a branch that is itself divergently executed.  A
@@ -17,8 +17,8 @@ barrier *inside* the divergent arm is flagged.
 
 The module also hosts the AST-level dataflow checks that need no
 abstract domains: definite-assignment (``uninit-local-var``),
-constant-index bounds (``constant-index-oob``) and AST use-def for
-``unused-param``.
+constant-index bounds (``constant-index-oob``), AST use-def for
+``unused-param`` and subscripted stores for ``constant-write``.
 """
 
 from __future__ import annotations
@@ -317,9 +317,8 @@ def walk_stmts(stmt: Stmt) -> list[Stmt]:
 def used_names(kernel: KernelDef) -> set[str]:
     """Every identifier the kernel body mentions (AST use-def).
 
-    Unlike the PR 3 regex this cannot be fooled by names inside
-    comments or string literals — those never become :class:`Ident`
-    nodes.
+    Names inside comments or string literals are not uses: they never
+    become :class:`Ident` nodes.
     """
     names: set[str] = set()
     for stmt in walk_stmts(kernel.body):
@@ -327,6 +326,29 @@ def used_names(kernel: KernelDef) -> set[str]:
             for node in walk_expr(root):
                 if isinstance(node, Ident):
                     names.add(node.name)
+    return names
+
+
+def stored_arrays(kernel: KernelDef) -> set[str]:
+    """Names the kernel body stores through by subscript.
+
+    A store is an assignment (plain or compound), ``++`` or ``--``
+    whose target is ``name[...]``.
+    """
+    names: set[str] = set()
+    for stmt in walk_stmts(kernel.body):
+        for root in stmt_exprs(stmt):
+            for node in walk_expr(root):
+                if isinstance(node, Assign):
+                    target = node.target
+                elif isinstance(node, Unary) and node.op in ("++", "--"):
+                    target = node.operand
+                else:
+                    continue
+                while isinstance(target, Paren):
+                    target = target.inner
+                if isinstance(target, Index) and isinstance(target.base, Ident):
+                    names.add(target.base.name)
     return names
 
 

@@ -1,20 +1,19 @@
-"""Deep (IR-exact) analysis: the engine behind ``repro lint --deep``.
+"""IR-exact kernel analysis: the engine behind ``repro lint``.
 
-The shallow pass in :mod:`repro.analysis.lint` works on the kernel
-source *text* — fast, but its ``unused-param`` and
-``barrier-divergence`` checks are regex approximations.  This module
-re-implements both on the typed IR (:mod:`repro.analysis.frontend` →
-:mod:`repro.analysis.cfg`), adds checks only an IR can express
-(definite assignment, constant-index bounds, reachability,
-``reqd_work_group_size`` vs the host's enqueue), and runs the paper's
-§4.4 working-set verification: the buffer extents each benchmark's
-kernels address (:mod:`repro.analysis.absint`) are cross-checked
-against the buffers its launch model declares, at every size preset.
+Every kernel-body check lives here, on the typed IR
+(:mod:`repro.analysis.frontend` → :mod:`repro.analysis.cfg`): unused
+parameters, stores through ``__constant`` pointers, barriers under
+divergent control flow, definite assignment, constant-index bounds,
+reachability and ``reqd_work_group_size`` vs the host's enqueue.  The
+paper's §4.4 working-set verification runs alongside: the buffer
+extents each benchmark's kernels address (:mod:`repro.analysis.absint`)
+are cross-checked against the buffers its launch model declares, at
+every size preset.
 
-Deep mode *composes* with the shallow suite: :func:`run_deep_suite`
-runs the full lifecycle suite with the superseded regex checks
-ignored, then layers the IR findings and the footprint cross-check on
-top, so one report gates CI end to end.
+:func:`run_deep_suite` layers these findings, the trace and AIWC
+differential gates and the extras tables on the lifecycle suite
+(host-side checks plus the optional sanitizer), so one report gates
+CI end to end.
 """
 
 from __future__ import annotations
@@ -31,25 +30,15 @@ from .accessmodel import (
 from .cfg import (
     constant_index_oob,
     divergent_barriers,
+    stored_arrays,
     uninitialized_uses,
     unreachable_statements,
     used_names,
 )
 from .findings import Finding, Report, default_severity
-from .frontend import KernelDef
+from .frontend import KernelDef, parse_source
+from .lint import _suppressed, build_failure
 from .suite import DEFAULT_DEVICE, run_suite
-
-#: Shallow regex checks replaced by their IR-exact versions in deep
-#: mode (the regex findings are dropped from the composed report so a
-#: defect is never double-counted).
-SUPERSEDED_CHECKS = ("unused-param", "barrier-divergence")
-
-
-def _suppressed(allows: set, check: str, name: str | None = None) -> bool:
-    """Whether ``// repro-lint: allow(...)`` covers this finding."""
-    return (check, None) in allows or (
-        name is not None and (check, name) in allows
-    )
 
 
 def _int_macros(macros: dict[str, float]) -> dict[str, int]:
@@ -90,7 +79,23 @@ def deep_lint_kernel(
 
     if has_body:
         uses = used_names(kernel)
+        stores = stored_arrays(kernel)
         for index, param in enumerate(kernel.params):
+            if (
+                param.is_pointer
+                and param.address_space == "constant"
+                and param.name in stores
+                and not _suppressed(allows, "constant-write", param.name)
+            ):
+                findings.append(Finding(
+                    check="constant-write",
+                    severity=default_severity("constant-write"),
+                    benchmark=benchmark, kernel=name, argument=param.name,
+                    location=f"argument {index}",
+                    message="kernel writes through __constant pointer "
+                            f"{param.name!r}",
+                    hint="move the parameter to __global, or drop the store",
+                ))
             if param.name in uses:
                 continue
             if _suppressed(allows, "unused-param", param.name):
@@ -194,21 +199,35 @@ def deep_lint_kernel(
 
 
 # ---------------------------------------------------------------------------
-# Launch-model driver: one benchmark
+# Drivers: a standalone source, a launch model
 # ---------------------------------------------------------------------------
+def lint_cl_source(source: str, benchmark: str | None = None) -> list[Finding]:
+    """IR kernel checks over one standalone OpenCL C source string.
+
+    Source that does not parse yields one ``build-failure`` error.
+    With no launch model there are no build macros and no enqueues, so
+    ``reqd-work-group-size`` is not cross-checked.
+    """
+    try:
+        kernels = parse_source(source).kernels
+    except CLSourceError as exc:
+        return [build_failure(exc, benchmark)]
+    suppressions = kernel_suppressions(source)
+    findings: list[Finding] = []
+    for kernel in kernels:
+        findings.extend(deep_lint_kernel(
+            kernel, suppressions.get(kernel.name, set()), benchmark=benchmark))
+    return findings
+
+
 def deep_lint_model(
     model: StaticLaunchModel, benchmark: str | None = None
 ) -> list[Finding]:
     """IR checks over every kernel of one static launch model."""
-    findings: list[Finding] = []
     try:
         kernels = model_ir(model).kernels
     except CLSourceError as exc:
-        findings.append(Finding(
-            check="build-failure", severity="error", benchmark=benchmark,
-            message=f"OpenCL C source failed to parse: {exc}",
-        ))
-        return findings
+        return [build_failure(exc, benchmark)]
     suppressions = kernel_suppressions(model.source)
     macros = _int_macros(dict(model.macros))
 
@@ -216,6 +235,7 @@ def deep_lint_model(
     for launch in model.launches:
         launch_locals.setdefault(launch.kernel, []).append(launch.local_size)
 
+    findings: list[Finding] = []
     for kernel in kernels:
         findings.extend(deep_lint_kernel(
             kernel,
@@ -298,76 +318,68 @@ def run_deep_suite(
     traces: bool = False,
     aiwc: bool = False,
 ) -> Report:
-    """Shallow suite plus IR checks plus the §4.4 footprint gate.
+    """Lifecycle suite plus IR checks plus the §4.4 footprint gate.
 
-    The shallow pass runs with its regex ``unused-param`` and
-    ``barrier-divergence`` ignored (the IR versions subsume them); the
-    deep findings honour the caller's ``ignore`` the same way the
-    shallow ones do.  Per-benchmark stride classes, footprint
-    comparisons and reuse-distance summaries land in ``Report.extras``.
+    Findings of checks named in ``ignore`` are dropped.  Every gate
+    runs at each of the benchmark's size presets, or at ``size`` alone;
+    a benchmark without that preset skips the per-size gates.
+    Per-benchmark stride classes, footprint comparisons and
+    reuse-distance summaries land in ``Report.extras``.
 
     ``traces`` adds the differential trace gate: for every benchmark
     the IR-synthesised trace is cross-checked against the hand-authored
     one (footprint span, indirect access, touched cache lines) at each
-    size preset, emitting ``trace-divergence`` findings on disagreement
-    and the comparison table under ``extras["trace_differential"]``.
+    size, emitting ``trace-divergence`` findings on disagreement and
+    the comparison table under ``extras["trace_differential"]``.
 
     ``aiwc`` adds the AIWC differential gate: the static workload
     characterization (:mod:`repro.analysis.staticaiwc`) is compared
-    metric-by-metric against the dynamic one at each size preset,
-    emitting ``aiwc-divergence`` findings beyond the tolerance bands
-    and both vectors under ``extras["aiwc_differential"]``.
+    metric-by-metric against the dynamic one at each size, emitting
+    ``aiwc-divergence`` findings beyond the tolerance bands and both
+    vectors under ``extras["aiwc_differential"]``.
     """
     report = run_suite(
         benchmarks=benchmarks,
         size=size,
         sanitize=sanitize,
         device_name=device_name,
-        ignore=tuple(set(ignore) | set(SUPERSEDED_CHECKS)),
+        ignore=ignore,
         emit_metrics=emit_metrics,
     )
     if benchmarks is None:
         benchmarks = [*registry.BENCHMARKS, *registry.EXTENSIONS]
     ignored = set(ignore)
-    strides: dict = {}
-    footprints: dict = {}
-    reuse: dict = {}
-    differential: dict = {}
-    aiwc_differential: dict = {}
+    tables: dict[str, dict] = {
+        "access_strides": {},
+        "footprint_verification": {},
+        "reuse_distance": {},
+        "trace_differential": {},
+        "aiwc_differential": {},
+    }
     for name in benchmarks:
-        sizes = None if size is None else (size,)
+        sizes = registry.get_benchmark(name).available_sizes()
+        if size is not None:
+            sizes = (size,) if size in sizes else ()
         findings, extras = deep_analyze_benchmark(name, sizes=sizes)
+        per_benchmark = {
+            "access_strides": extras["strides"],
+            "footprint_verification": extras["footprint"],
+            "reuse_distance": extras["reuse"],
+        }
         if traces:
-            trace_findings, table = compare_benchmark_traces(
-                name, sizes=sizes)
+            trace_findings, per_benchmark["trace_differential"] = (
+                compare_benchmark_traces(name, sizes=sizes))
             findings.extend(trace_findings)
-            if table:
-                differential[name] = table
         if aiwc:
             from .staticaiwc import compare_benchmark_aiwc
 
-            aiwc_findings, aiwc_table = compare_benchmark_aiwc(
-                name, sizes=sizes)
+            aiwc_findings, per_benchmark["aiwc_differential"] = (
+                compare_benchmark_aiwc(name, sizes=sizes))
             findings.extend(aiwc_findings)
-            if aiwc_table:
-                aiwc_differential[name] = aiwc_table
-        for finding in findings:
-            if finding.check not in ignored:
-                report.add(finding)
-        if extras.get("strides"):
-            strides[name] = extras["strides"]
-        if extras.get("footprint"):
-            footprints[name] = extras["footprint"]
-        if extras.get("reuse"):
-            reuse[name] = extras["reuse"]
-    if strides:
-        report.extras["access_strides"] = strides
-    if footprints:
-        report.extras["footprint_verification"] = footprints
-    if reuse:
-        report.extras["reuse_distance"] = reuse
-    if differential:
-        report.extras["trace_differential"] = differential
-    if aiwc_differential:
-        report.extras["aiwc_differential"] = aiwc_differential
+        report.extend(f for f in findings if f.check not in ignored)
+        for key, table in per_benchmark.items():
+            if table:
+                tables[key][name] = table
+    report.extras.update(
+        {key: table for key, table in tables.items() if table})
     return report

@@ -34,19 +34,20 @@ JSON_SCHEMA_VERSION = 2
 #: whatever its severity, trips the gate).
 FAIL_ON_CHOICES = ("any",) + SEVERITIES
 
-#: Default severity per check identifier (schema v2).  Checks absent
-#: from the map default to ``warning``; emitters may still override
-#: per finding (e.g. ``build-failure`` escalating a parse error).
+#: Default severity per check identifier (schema v2), and the catalogue
+#: of check names ``repro lint --ignore`` accepts.  Checks absent from
+#: the map default to ``warning``; emitters may still override per
+#: finding (e.g. ``build-failure`` escalating a parse error).
 DEFAULT_SEVERITIES: dict[str, str] = {
-    # static lint (regex + IR)
+    # host-side lint (repro.analysis.lint)
     "build-failure": "error",
-    "constant-write": "error",
     "local-from-global": "error",
     "missing-kernel-body": "warning",
     "missing-cl-source": "note",
+    # IR kernel checks (repro.analysis.deep)
+    "constant-write": "error",
     "unused-param": "warning",
     "barrier-divergence": "warning",
-    # IR-only checks (repro.analysis.deep)
     "uninit-local-var": "error",
     "constant-index-oob": "error",
     "unreachable-code": "warning",
@@ -64,9 +65,11 @@ DEFAULT_SEVERITIES: dict[str, str] = {
     "validation-failure": "error",
     "run-failure": "error",
     "oob-access": "error",
+    "kernel-abort": "error",
     "uninit-read": "warning",
-    "write-race": "warning",
+    "use-after-release": "error",
     "buffer-leak": "warning",
+    "queue-leak": "note",
 }
 
 

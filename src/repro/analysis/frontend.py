@@ -1,9 +1,9 @@
 """OpenCL C frontend: tokenizer, typed AST and recursive-descent parser.
 
-This is the first stage of the kernel IR pipeline (ISSUE 5): it turns
-the OpenCL C subset used by the shipped dwarf kernels into a typed AST
-that :mod:`repro.analysis.cfg` and :mod:`repro.analysis.absint` analyse
-*soundly*, replacing the regex heuristics of the original lint pass.
+This is the first stage of the kernel IR pipeline: it turns the OpenCL
+C subset used by the shipped dwarf kernels into a typed AST that
+:mod:`repro.analysis.cfg` and :mod:`repro.analysis.absint` analyse
+*soundly*; every kernel-body lint check runs on it.
 
 The subset is deliberately the language of ``repro.dwarfs.kernels_cl``:
 scalar/vector arithmetic, ``if``/``for``/``while``/``return``, local
@@ -88,8 +88,7 @@ def tokenize(source: str) -> list[Token]:
     """Tokenize OpenCL C, dropping comments and preprocessor lines.
 
     String and character literals become single tokens (so identifier
-    text inside them can never be mistaken for a use — the PR 3 lint
-    false positive).  Raises :class:`CLSyntaxError` on any character
+    text inside them can never be mistaken for a use).  Raises :class:`CLSyntaxError` on any character
     outside the language.
     """
     blanked = _PREPROC_RE.sub(lambda m: " " * len(m.group(0)), source)
@@ -117,30 +116,6 @@ def tokenize(source: str) -> list[Token]:
             line_start = pos + text.rfind("\n") + 1
         pos = match.end()
     return tokens
-
-
-#: The tokenizer's non-code alternates, reused for position-preserving
-#: stripping: comments and string/char literals (in that order, so a
-#: ``//`` inside a string does not start a comment and vice versa).
-_NONCODE_RE = re.compile(
-    r"""//[^\n]*|/\*.*?\*/|"(?:\\.|[^"\\\n])*"|'(?:\\.|[^'\\\n])*'""",
-    re.S,
-)
-
-
-def strip_noncode(text: str) -> str:
-    """Blank comments and string/char literals, preserving positions.
-
-    Every non-code character (except newlines, kept for line numbers)
-    becomes a space, so byte offsets, line and column numbers are
-    unchanged.  This is the comment/string stripping the regex lint
-    checks route through: an identifier inside a comment or literal can
-    no longer count as a "use".
-    """
-    def blank(match: re.Match) -> str:
-        return re.sub(r"[^\n]", " ", match.group(0))
-
-    return _NONCODE_RE.sub(blank, text)
 
 
 # ---------------------------------------------------------------------------

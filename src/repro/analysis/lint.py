@@ -1,217 +1,37 @@
-"""Static lint over OpenCL C kernel sources and host-side bindings.
+"""Host-side lint over built programs and their argument bindings.
 
-The checks target the host/kernel mismatch class the paper's curation
-fought (§4.4): parameters the kernel never reads, writes through
-``__constant`` memory, ``__local`` parameters fed from global buffers,
-kernels that exist only on one side of the host/device boundary, and
-barriers reached under thread-divergent control flow (undefined
-behaviour on real devices, invisible in a sequential simulation).
-
-Everything here is textual/structural — no kernel executes.  The
-runtime complement lives in :mod:`repro.analysis.sanitize`.
+The checks target the host/kernel boundary the paper's curation fought
+(§4.4): kernels that carry no OpenCL C source, ``__kernel`` functions
+the program registers no Python body for, and ``__local`` parameters
+fed from global buffers.  Everything inside a kernel body is checked
+on the typed IR instead (:mod:`repro.analysis.deep`), and the runtime
+complement lives in :mod:`repro.analysis.sanitize`.
 """
 
 from __future__ import annotations
 
-import re
-
-from ..ocl.clsource import (
-    CLKernelSignature,
-    CLSourceError,
-    kernel_bodies,
-    kernel_suppressions,
-    parse_kernels,
-)
+from ..ocl.clsource import CLSourceError, kernel_suppressions, parse_kernels
 from ..ocl.memory import Buffer
 from ..ocl.program import Program
 from .findings import Finding
-from .frontend import strip_noncode
-
-#: Identifiers whose appearance in an ``if`` condition marks the branch
-#: as (potentially) thread-divergent.
-_ID_RE = re.compile(
-    r"get_global_id|get_local_id|get_group_id|\bgid\b|\btid\b|\blid\b"
-)
-
-_BARRIER_RE = re.compile(r"\bbarrier\s*\(")
-
-_IF_RE = re.compile(r"\bif\s*\(")
-
-
-def _word_re(name: str) -> re.Pattern:
-    return re.compile(rf"\b{re.escape(name)}\b")
-
-
-#: ``name[...] op=``, ``name[...]++`` and ``++name[...]`` — a store
-#: through the subscripted pointer.
-def _write_through(name: str) -> re.Pattern:
-    sub = rf"\b{re.escape(name)}\s*\[[^\]]*\]"
-    return re.compile(
-        rf"({sub}\s*(\+\+|--|[-+*/%&|^]?=(?!=)))|((\+\+|--)\s*{re.escape(name)}\s*\[)"
-    )
-
-
-def _match_delim(text: str, start: int, open_ch: str, close_ch: str) -> int:
-    """Offset just past the delimiter matching ``text[start]``, or -1."""
-    depth = 0
-    for pos in range(start, len(text)):
-        if text[pos] == open_ch:
-            depth += 1
-        elif text[pos] == close_ch:
-            depth -= 1
-            if depth == 0:
-                return pos + 1
-    return -1
-
-
-def _divergent_barrier(body: str) -> bool:
-    """Does any work-item-dependent ``if`` body contain a barrier?
-
-    Heuristic: an ``if`` whose condition mentions a work-item id
-    (``get_global_id`` etc.) guards a region not all work items reach;
-    a ``barrier()`` inside it deadlocks real devices.  Early-exit
-    guards (``if (gid >= n) return;``) do not trip this because the
-    barrier must be *inside* the divergent block.
-    """
-    for match in _IF_RE.finditer(body):
-        cond_start = match.end() - 1
-        cond_end = _match_delim(body, cond_start, "(", ")")
-        if cond_end < 0:
-            continue
-        if not _ID_RE.search(body[cond_start:cond_end]):
-            continue
-        rest = body[cond_end:]
-        block_match = re.match(r"\s*\{", rest)
-        if block_match:
-            brace_at = cond_end + block_match.end() - 1
-            block_end = _match_delim(body, brace_at, "{", "}")
-            block = body[brace_at:block_end] if block_end > 0 else body[brace_at:]
-        else:
-            # single-statement branch: up to the next semicolon
-            semi = rest.find(";")
-            block = rest if semi < 0 else rest[: semi + 1]
-        if _BARRIER_RE.search(block):
-            return True
-    return False
 
 
 def _suppressed(allows: set, check: str, name: str | None = None) -> bool:
+    """Whether ``// repro-lint: allow(...)`` covers this finding."""
     return (check, None) in allows or (name is not None and (check, name) in allows)
 
 
-# ---------------------------------------------------------------------------
-def lint_cl_source(
-    source: str,
-    python_bodies: set[str] | None = None,
-    benchmark: str | None = None,
-) -> list[Finding]:
-    """Lint one OpenCL C source string.
-
-    ``python_bodies`` is the set of kernel names for which the program
-    registered a Python body; ``__kernel`` functions outside it are
-    flagged (a kernel shipped in ``.cl`` that the simulation never
-    executes drifts silently).
-    """
-    findings: list[Finding] = []
-    try:
-        signatures = parse_kernels(source)
-    except CLSourceError as exc:
-        findings.append(Finding(
-            check="build-failure", severity="error", benchmark=benchmark,
-            message=f"OpenCL C source failed to parse: {exc}",
-        ))
-        return findings
-    bodies = kernel_bodies(source)
-    suppressions = kernel_suppressions(source)
-
-    for name, signature in signatures.items():
-        body = bodies.get(name)  # None when brace matching failed
-        allows = suppressions.get(name, set())
-        findings.extend(
-            _lint_kernel(signature, body, allows, benchmark, python_bodies)
-        )
-    return findings
-
-
-def _lint_kernel(
-    signature: CLKernelSignature,
-    body: str | None,
-    allows: set,
-    benchmark: str | None,
-    python_bodies: set[str] | None,
-) -> list[Finding]:
-    name = signature.name
-    findings: list[Finding] = []
-    # The regex checks below must not see comments or string literals:
-    # a parameter named in a comment is not a use (PR 3 false positive)
-    code = strip_noncode(body) if body is not None else None
-
-    if (
-        python_bodies is not None
-        and name not in python_bodies
-        and not _suppressed(allows, "missing-kernel-body")
-    ):
-        findings.append(Finding(
-            check="missing-kernel-body", severity="warning",
-            benchmark=benchmark, kernel=name,
-            message="__kernel is declared in the OpenCL C source but the "
-                    "program registers no Python body for it",
-            hint="register a KernelSource of the same name, or drop the "
-                 "kernel from the .cl source",
-        ))
-
-    for index, param in enumerate(signature.params):
-        if (
-            code is not None
-            and not _word_re(param.name).search(code)
-            and not _suppressed(allows, "unused-param", param.name)
-        ):
-            findings.append(Finding(
-                check="unused-param", severity="warning",
-                benchmark=benchmark, kernel=name, argument=param.name,
-                location=f"argument {index}",
-                message=f"kernel parameter {param.name!r} is never used in "
-                        "the kernel body",
-                hint="remove the parameter (and its host-side set_arg) or "
-                     "suppress with // repro-lint: allow(unused-param: "
-                     f"{param.name})",
-            ))
-        if (
-            param.is_pointer
-            and param.address_space == "constant"
-            and code
-            and _write_through(param.name).search(code)
-            and not _suppressed(allows, "constant-write", param.name)
-        ):
-            findings.append(Finding(
-                check="constant-write", severity="error",
-                benchmark=benchmark, kernel=name, argument=param.name,
-                location=f"argument {index}",
-                message=f"kernel writes through __constant pointer "
-                        f"{param.name!r}",
-                hint="move the parameter to __global, or drop the store",
-            ))
-
-    if (
-        code
-        and _BARRIER_RE.search(code)
-        and _divergent_barrier(code)
-        and not _suppressed(allows, "barrier-divergence")
-    ):
-        findings.append(Finding(
-            check="barrier-divergence", severity="warning",
-            benchmark=benchmark, kernel=name,
-            message="barrier() is reached inside a branch conditioned on a "
-                    "work-item id; not all work items of a group would reach "
-                    "it on a real device",
-            hint="hoist the barrier out of the divergent branch",
-        ))
-    return findings
+def build_failure(exc: CLSourceError, benchmark: str | None) -> Finding:
+    """The finding for OpenCL C source that does not parse."""
+    return Finding(
+        check="build-failure", severity="error", benchmark=benchmark,
+        message=f"OpenCL C source failed to parse: {exc}",
+    )
 
 
 # ---------------------------------------------------------------------------
 def lint_program(program: Program, benchmark: str | None = None) -> list[Finding]:
-    """Lint every kernel of a built program plus its host bindings."""
+    """Lint the kernel sources and host bindings of a built program."""
     findings: list[Finding] = []
     python_bodies = set(program.kernel_names)
     seen_sources: set[str] = set()
@@ -230,11 +50,39 @@ def lint_program(program: Program, benchmark: str | None = None) -> list[Finding
             continue  # several kernels sharing one .cl file
         seen_sources.add(src.cl_source)
         findings.extend(
-            lint_cl_source(src.cl_source, python_bodies, benchmark)
+            _orphan_kernels(src.cl_source, python_bodies, benchmark)
         )
 
     findings.extend(_lint_bound_args(program, benchmark))
     return findings
+
+
+def _orphan_kernels(
+    source: str, python_bodies: set[str], benchmark: str | None
+) -> list[Finding]:
+    """Flag ``__kernel`` functions with no registered Python body.
+
+    A kernel shipped in ``.cl`` that the simulation never executes
+    drifts silently from the code that does run.
+    """
+    try:
+        signatures = parse_kernels(source)
+    except CLSourceError as exc:
+        return [build_failure(exc, benchmark)]
+    suppressions = kernel_suppressions(source)
+    return [
+        Finding(
+            check="missing-kernel-body", severity="warning",
+            benchmark=benchmark, kernel=name,
+            message="__kernel is declared in the OpenCL C source but the "
+                    "program registers no Python body for it",
+            hint="register a KernelSource of the same name, or drop the "
+                 "kernel from the .cl source",
+        )
+        for name in signatures
+        if name not in python_bodies
+        and not _suppressed(suppressions.get(name, set()), "missing-kernel-body")
+    ]
 
 
 def _lint_bound_args(program: Program, benchmark: str | None) -> list[Finding]:

@@ -21,10 +21,10 @@ purely statically from a :class:`~repro.dwarfs.base.StaticLaunchModel`:
   share, capped by the CFG-level
   :func:`repro.analysis.cfg.branch_entropy_bound`.
 
-The **differential gate** (``repro lint --aiwc``) compares the static
+The **differential gate** (part of ``repro lint``) compares the static
 vector against the dynamic one per metric with per-group tolerance
 bands and emits ``aiwc-divergence`` findings — the static analogue of
-the PR 8 trace gate, keeping the two characterization sources honest
+the trace gate, keeping the two characterization sources honest
 against each other.
 """
 
@@ -664,12 +664,11 @@ def compare_benchmark_aiwc(
     from ..dwarfs import registry
 
     cls = registry.get_benchmark(name)
-    use = sizes if sizes is not None else tuple(cls.available_sizes())
+    if sizes is None:
+        sizes = cls.available_sizes()
     findings: list[Finding] = []
     table: dict[str, dict] = {}
-    for size in use:
-        if size not in cls.presets:
-            continue
+    for size in sizes:
         bench_findings, row = compare_bench_aiwc(cls.from_size(size))
         if row:
             table[size] = row

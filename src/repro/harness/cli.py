@@ -22,7 +22,7 @@ import contextlib
 import sys
 from pathlib import Path
 
-from ..analysis.findings import FAIL_ON_CHOICES
+from ..analysis.findings import DEFAULT_SEVERITIES, FAIL_ON_CHOICES
 from ..devices.catalog import CATALOG, device_names, get_device
 from ..dwarfs.base import SIZES
 from ..dwarfs.registry import BENCHMARKS, EXTENSIONS, get_benchmark
@@ -649,41 +649,26 @@ def cmd_lint(args) -> int:
     """``lint``: run the analysis suite and gate on finding severity.
 
     Executes every benchmark (or one, with ``--benchmark``) at its
-    smallest problem size, statically lints the kernel sources and
-    host bindings, optionally runs under the shadow-memory sanitizer,
-    and exits nonzero when any finding reaches ``--fail-on``.  With
-    ``--deep`` the IR pipeline runs as well: exact CFG/dataflow
-    versions of the lint checks, the access-model checks (data races,
-    uncoalesced global access, bank conflicts) plus the §4.4 symbolic
-    working-set cross-check against every size preset.  ``--traces``
-    (implies ``--deep``) adds the differential trace gate: IR-derived
-    address traces are cross-checked against the hand-authored ones.
-    ``--aiwc`` (also implies ``--deep``) adds the AIWC differential
-    gate: the static workload-characterization vector is compared
-    against the dynamic one per metric with tolerance bands.
+    smallest problem size, lints the host bindings, optionally runs
+    under the shadow-memory sanitizer, and checks every kernel on the
+    IR: the kernel-body checks, the access-model checks (data races,
+    uncoalesced global access, bank conflicts), the §4.4 symbolic
+    working-set cross-check, and the trace and AIWC differential gates
+    (IR-derived address traces and static workload characterization
+    against their hand-authored and dynamic counterparts) at every
+    size preset.  Exits nonzero when any finding reaches ``--fail-on``.
     """
-    from ..analysis import run_deep_suite, run_suite
+    from ..analysis import run_deep_suite
 
-    deep = args.deep or args.traces or args.aiwc
-    benchmarks = [args.benchmark] if args.benchmark else None
-    if deep:
-        report = run_deep_suite(
-            benchmarks=benchmarks,
-            size=args.size,
-            sanitize=args.sanitize,
-            device_name=args.device,
-            ignore=tuple(args.ignore),
-            traces=args.traces,
-            aiwc=args.aiwc,
-        )
-    else:
-        report = run_suite(
-            benchmarks=benchmarks,
-            size=args.size,
-            sanitize=args.sanitize,
-            device_name=args.device,
-            ignore=tuple(args.ignore),
-        )
+    report = run_deep_suite(
+        benchmarks=[args.benchmark] if args.benchmark else None,
+        size=args.size,
+        sanitize=args.sanitize,
+        device_name=args.device,
+        ignore=tuple(args.ignore),
+        traces=True,
+        aiwc=True,
+    )
     if args.json:
         print(report.to_json())
     else:
@@ -1106,25 +1091,10 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--sanitize", action="store_true",
                       help="also execute kernels under the shadow-memory "
                            "sanitizer (OOB, uninit reads, races, leaks)")
-    lint.add_argument("--deep", action="store_true",
-                      help="run the kernel IR pipeline too: CFG/dataflow "
-                           "exact checks, the access-model checks "
-                           "(data-race, uncoalesced-access, bank-conflict) "
-                           "plus the addressed-extents vs declared-buffers "
-                           "footprint verification (paper §4.4)")
-    lint.add_argument("--traces", action="store_true",
-                      help="differential trace gate (implies --deep): "
-                           "cross-check IR-synthesised address traces "
-                           "against the hand-authored ones at every size "
-                           "preset")
-    lint.add_argument("--aiwc", action="store_true",
-                      help="AIWC differential gate (implies --deep): "
-                           "compare the static workload-characterization "
-                           "vector against the dynamic one per metric at "
-                           "every size preset")
     lint.add_argument("--json", action="store_true",
                       help="emit the JSON report (schema: docs/analysis.md)")
     lint.add_argument("--ignore", action="append", default=[], metavar="CHECK",
+                      choices=sorted(DEFAULT_SEVERITIES),
                       help="drop findings of this check id (repeatable)")
     lint.add_argument("--fail-on", choices=FAIL_ON_CHOICES, default="error",
                       help="exit nonzero when a finding reaches this "

@@ -22,7 +22,6 @@ from .clsource import (
     CLParam,
     CLSourceError,
     check_scalar_argument,
-    kernel_bodies,
     kernel_suppressions,
     parse_kernels,
     scalar_kind,
@@ -74,7 +73,6 @@ __all__ = [
     "CLParam",
     "CLSourceError",
     "check_scalar_argument",
-    "kernel_bodies",
     "kernel_suppressions",
     "parse_kernels",
     "scalar_kind",

@@ -198,10 +198,9 @@ def _kernel_spans(source: str) -> dict[str, tuple[int, int]]:
     """Map kernel name -> (body start, body end) offsets in ``source``.
 
     Offsets bracket the brace-matched body of each ``__kernel``; used
-    by the lint pass to attribute body text and suppression directives
-    to a kernel.  Comments are *not* stripped here so directives
-    survive; brace matching ignores braces inside comments by scanning
-    a comment-blanked copy.
+    to attribute suppression directives to a kernel.  Comments are
+    *not* stripped here so directives survive; brace matching ignores
+    braces inside comments by scanning a comment-blanked copy.
     """
     blanked = _COMMENT_RE.sub(lambda m: " " * len(m.group(0)), source)
     blanked = _PREPROCESSOR_RE.sub(lambda m: " " * len(m.group(0)), blanked)
@@ -221,19 +220,6 @@ def _kernel_spans(source: str) -> dict[str, tuple[int, int]]:
                     spans[name] = (open_brace + 1, pos)
                     break
     return spans
-
-
-def kernel_bodies(source: str) -> dict[str, str]:
-    """Extract each ``__kernel``'s brace-matched body text (no comments).
-
-    Feeds the static lint checks (unused parameters, address-space
-    misuse, barrier divergence).  Preprocessor lines and comments are
-    blanked, not removed, so offsets still correspond to ``source``.
-    """
-    blanked = _COMMENT_RE.sub(lambda m: " " * len(m.group(0)), source)
-    blanked = _PREPROCESSOR_RE.sub(lambda m: " " * len(m.group(0)), blanked)
-    return {name: blanked[start:end]
-            for name, (start, end) in _kernel_spans(source).items()}
 
 
 def kernel_suppressions(source: str) -> dict[str, set[tuple[str, str | None]]]:

@@ -181,7 +181,7 @@ class TestDeepSuite:
         assert set(verified) == {"small"}
 
     def test_cli_deep_fail_on_any(self, capsys):
-        assert cli_main(["lint", "--benchmark", "kmeans", "--deep",
+        assert cli_main(["lint", "--benchmark", "kmeans",
                          "--json", "--fail-on", "any"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["schema_version"] == 2

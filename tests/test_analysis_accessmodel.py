@@ -390,7 +390,7 @@ class TestDeepSuiteAndCli:
 
     def test_cli_traces_flag(self, capsys):
         exit_code = cli_main(["lint", "--benchmark", "csr", "--size", "tiny",
-                              "--traces", "--json", "--fail-on", "any"])
+                              "--json", "--fail-on", "any"])
         assert exit_code == 0
         document = json.loads(capsys.readouterr().out)
         assert document["summary"]["error"] == 0

@@ -14,7 +14,6 @@ from repro.analysis.frontend import (
     CLSyntaxError,
     parse_source,
     print_program,
-    strip_noncode,
     token_texts,
     tokenize,
 )
@@ -77,29 +76,6 @@ class TestSyntaxErrors:
         with pytest.raises(CLSyntaxError) as info:
             parse_source("__kernel void f(int n) { n +; }")
         assert "line" in str(info.value)
-
-
-# ---------------------------------------------------------------------------
-class TestStripNoncode:
-    def test_blanks_comments_preserving_positions(self):
-        src = "int a; // param x here\nint b; /* y */ int c;"
-        out = strip_noncode(src)
-        assert len(out) == len(src)
-        assert out.count("\n") == src.count("\n")
-        assert "x" not in out
-        assert "y" not in out
-        assert "int a;" in out and "int c;" in out
-
-    def test_blanks_string_literals(self):
-        out = strip_noncode('printf("uses param n"); int m;')
-        assert "param" not in out
-        assert "int m;" in out
-
-    def test_multiline_comment_keeps_newlines(self):
-        src = "a;\n/* one\ntwo\nthree */\nb;"
-        out = strip_noncode(src)
-        assert out.count("\n") == src.count("\n")
-        assert "two" not in out
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,11 @@ from repro.analysis import (
     Report,
     lint_cl_source,
     lint_program,
+    run_deep_suite,
     run_suite,
     severity_rank,
 )
+from repro.harness.cli import EXIT_USAGE
 from repro.harness.cli import main as cli_main
 from repro.ocl import KernelSource, Program
 
@@ -168,7 +170,9 @@ class TestStaticChecks:
         assert len(hits) == 1
         assert hits[0].kernel == "f"
 
-    def test_barrier_after_early_exit_is_clean(self):
+    def test_barrier_after_early_exit_is_divergent(self):
+        """Work items past ``n`` return before the barrier, so not every
+        work item of a group reaches it: undefined in OpenCL 1.2."""
         findings = lint_cl_source(
             "__kernel void f(__global float *x, int n) {\n"
             "  int gid = get_global_id(0);\n"
@@ -176,7 +180,10 @@ class TestStaticChecks:
             "  x[gid] = 1.0f;\n"
             "  barrier(CLK_GLOBAL_MEM_FENCE);\n"
             "}")
-        assert "barrier-divergence" not in checks(findings)
+        hits = by_check(findings, "barrier-divergence")
+        assert len(hits) == 1
+        assert hits[0].kernel == "f"
+        assert hits[0].location == "line 5"
 
     def test_barrier_in_uniform_if_is_clean(self):
         findings = lint_cl_source(
@@ -271,15 +278,15 @@ class TestProgramLint:
         assert hits[0].severity == "error"
 
     def test_shared_source_linted_once(self, cpu_context):
-        src = ("__kernel void a(int unused_one) {}\n"
-               "__kernel void b(int unused_two) {}\n")
+        src = ("__kernel void a(int n) {}\n"
+               "__kernel void b(int n) {}\n"
+               "__kernel void orphan(int n) {}\n")
         program = Program(cpu_context, [
             KernelSource("a", _noop, cl_source=src),
             KernelSource("b", _noop, cl_source=src),
         ]).build()
-        hits = by_check(lint_program(program), "unused-param")
-        assert {h.argument for h in hits} == {"unused_one", "unused_two"}
-        assert len(hits) == 2  # not doubled by the shared source
+        hits = by_check(lint_program(program), "missing-kernel-body")
+        assert [h.kernel for h in hits] == ["orphan"]  # not doubled
 
 
 # ---------------------------------------------------------------------------
@@ -309,3 +316,31 @@ class TestSuiteAndCLI:
 
     def test_cli_lint_sanitize(self, capsys):
         assert cli_main(["lint", "--benchmark", "nw", "--sanitize"]) == 0
+
+    def test_cli_lint_is_the_full_gate(self, capsys):
+        """One gate: the CLI prints the deep suite with both
+        differential gates, byte for byte."""
+        assert cli_main(["lint", "--benchmark", "csr", "--json"]) == 0
+        out = capsys.readouterr().out
+        report = run_deep_suite(benchmarks=["csr"], traces=True, aiwc=True,
+                                emit_metrics=False)
+        assert out == report.to_json() + "\n"
+        extras = json.loads(out)["extras"]
+        assert "csr" in extras["trace_differential"]
+        assert "csr" in extras["aiwc_differential"]
+
+    def test_cli_lint_size_missing_preset(self, capsys):
+        """nqueens has no small preset: its per-size gates skip it."""
+        assert cli_main(["lint", "--size", "small", "--json"]) == 0
+        extras = json.loads(capsys.readouterr().out)["extras"]
+        assert "nqueens" not in extras["footprint_verification"]
+        assert "nqueens" not in extras["trace_differential"]
+        assert set(extras["trace_differential"]["lud"]) == {"small"}
+
+    def test_cli_lint_rejects_unknown_ignore(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli_main(["lint", "--ignore", "unused-parm"])
+        assert info.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "unused-parm" in err
+        assert "unused-param" in err  # the known checks are listed

@@ -207,19 +207,6 @@ class TestScalarKind:
 
 
 class TestKernelBodies:
-    def test_bodies_extracted(self):
-        from repro.ocl.clsource import kernel_bodies
-        src = ("__kernel void a(int n) { int x = n; }\n"
-               "__kernel void b(int m) { if (m) { m += 1; } }\n")
-        bodies = kernel_bodies(src)
-        assert "int x = n;" in bodies["a"]
-        assert "m += 1;" in bodies["b"]  # nested braces matched
-
-    def test_comments_blanked_in_bodies(self):
-        from repro.ocl.clsource import kernel_bodies
-        src = "__kernel void a(int n) { /* uses n? no */ }\n"
-        assert "n" not in kernel_bodies(src)["a"].replace("int n", "")
-
     def test_suppressions_parsed(self):
         from repro.ocl.clsource import kernel_suppressions
         src = ("__kernel void a(int n) {\n"
