@@ -11,10 +11,31 @@ from __future__ import annotations
 
 from typing import Iterable
 
+import numpy as np
+
 from ..devices.specs import DeviceSpec
 from ..telemetry.tracer import get_tracer
-from .batch import as_addresses, batch_enabled
+from .batch import as_addresses
 from .setassoc import SetAssociativeCache
+
+
+def level_geometries(spec: DeviceSpec) -> tuple[tuple[int, int, int], ...]:
+    """``(size_bytes, line_bytes, associativity)`` of each cache level.
+
+    Cache sizes are rounded down to the nearest valid power-of-two set
+    count (the i5-3550's 6 MiB L3, for instance, is 12-way with a
+    non-power-of-two capacity; modelling it as the nearest valid
+    geometry at the same capacity-per-way keeps miss behaviour
+    realistic).
+    """
+    geometries = []
+    for level in spec.caches:
+        line = level.line_bytes
+        ways = level.associativity
+        n_sets = max(1, level.size_kib * 1024 // (line * ways))
+        pow2_sets = 1 << (n_sets.bit_length() - 1)
+        geometries.append((pow2_sets * line * ways, line, ways))
+    return tuple(geometries)
 
 
 class CacheHierarchy:
@@ -32,31 +53,12 @@ class CacheHierarchy:
 
     @classmethod
     def for_device(cls, spec: DeviceSpec) -> "CacheHierarchy":
-        """Build the hierarchy described by a device's spec.
-
-        Cache sizes are rounded down to the nearest valid power-of-two
-        set count (the i5-3550's 6 MiB L3, for instance, is 12-way with
-        a non-power-of-two capacity; modelling it as the nearest valid
-        geometry at the same capacity-per-way keeps miss behaviour
-        realistic).
-        """
-        levels = []
-        names = ("L1", "L2", "L3")
-        for i, level in enumerate(spec.caches):
-            size = level.size_kib * 1024
-            line = level.line_bytes
-            ways = level.associativity
-            n_sets = max(1, size // (line * ways))
-            pow2_sets = 1 << (n_sets.bit_length() - 1)
-            levels.append(
-                SetAssociativeCache(
-                    size_bytes=pow2_sets * line * ways,
-                    line_bytes=line,
-                    associativity=ways,
-                    name=names[i] if i < len(names) else f"L{i + 1}",
-                )
-            )
-        return cls(levels)
+        """Build the hierarchy described by a device's spec."""
+        return cls([
+            SetAssociativeCache(size_bytes=size, line_bytes=line,
+                                associativity=ways, name=f"L{i + 1}")
+            for i, (size, line, ways) in enumerate(level_geometries(spec))
+        ])
 
     # ------------------------------------------------------------------
     def access(self, address: int) -> int:
@@ -71,34 +73,26 @@ class CacheHierarchy:
         self.memory_accesses += 1
         return len(self.levels)
 
-    def access_many(self, addresses: Iterable[int]) -> None:
-        """Feed a whole trace (iterable of byte addresses).
+    def access_many(self, addresses: Iterable[int]) -> np.ndarray:
+        """Feed a whole trace; return the addresses that missed every level.
 
-        With batch simulation enabled (the default, see
-        :mod:`repro.cache.batch`) the whole trace runs through each
-        level's vectorized ``access_batch`` with level-filtered miss
-        propagation: L2 only sees L1's miss subset, in original order.
-        Each level's state depends only on its own input stream, and
-        that stream is identical to the scalar walk's, so the result
-        is bit-exact against the per-address oracle.
+        Level-filtered miss propagation: each level replays its input
+        stream through :meth:`SetAssociativeCache.filter_misses` (batch
+        or scalar, per :mod:`repro.cache.batch`), and L2 only sees L1's
+        miss subset, in original order.  Each level's state depends
+        only on its own input stream, and that stream is identical to
+        the one the per-address :meth:`access` walk feeds it, so the
+        result is bit-exact against that walk.
         """
         with get_tracer().span("cache_sim_trace", phase="cache_sim") as sp:
-            if batch_enabled():
-                pending = as_addresses(addresses)
-                count = int(pending.size)
-                for cache in self.levels:
-                    if pending.size == 0:
-                        break
-                    hit_mask = cache.access_batch(pending)
-                    pending = pending[~hit_mask]
-                self.memory_accesses += int(pending.size)
-            else:
-                access = self.access
-                count = 0
-                for a in addresses:
-                    access(int(a))
-                    count += 1
-            sp.set_attribute("accesses", count)
+            pending = as_addresses(addresses)
+            sp.set_attribute("accesses", int(pending.size))
+            for cache in self.levels:
+                if pending.size == 0:
+                    break
+                pending = cache.filter_misses(pending)
+            self.memory_accesses += int(pending.size)
+            return pending
 
     # ------------------------------------------------------------------
     def miss_counts(self) -> dict[str, int]:

@@ -141,14 +141,24 @@ class SetAssociativeCache:
 
     def access_many(self, addresses: Iterable[int]) -> int:
         """Run a sequence of byte addresses; returns the miss count added."""
-        if not batch_enabled():
-            before = self.stats.misses
-            access = self.access
-            for a in addresses:
-                access(a)
-            return self.stats.misses - before
-        hit_mask = self.access_batch(as_addresses(addresses))
-        return int(hit_mask.size - np.count_nonzero(hit_mask))
+        return int(self.filter_misses(as_addresses(addresses)).size)
+
+    def filter_misses(self, addresses: np.ndarray) -> np.ndarray:
+        """Replay an int64 address stream; return the addresses that missed.
+
+        The misses come back in trace order: they are exactly the input
+        stream of the next level out, which is how
+        :meth:`CacheHierarchy.access_many
+        <repro.cache.hierarchy.CacheHierarchy.access_many>` and the
+        per-geometry counter replay chain levels.  Honours
+        ``REPRO_SIM_BATCH``: the scalar oracle walks :meth:`access` per
+        address, the batch path runs :meth:`access_batch`.
+        """
+        if batch_enabled():
+            return addresses[~self.access_batch(addresses)]
+        access = self.access
+        return np.asarray([a for a in addresses.tolist() if not access(a)],
+                          dtype=np.int64)
 
     # ------------------------------------------------------------------
     def access_batch(self, addresses: np.ndarray) -> np.ndarray:

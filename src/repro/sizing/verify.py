@@ -55,11 +55,6 @@ def touched_bytes(trace: np.ndarray, line_bytes: int = 64) -> int:
     return len(np.unique(trace // line_bytes)) * line_bytes
 
 
-# Former private names, kept as aliases for existing callers/tests.
-_scaled_spec = scaled_spec
-_touched_bytes = touched_bytes
-
-
 @dataclass(frozen=True)
 class SizeVerification:
     """Counter results per problem size for one benchmark."""

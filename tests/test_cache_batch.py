@@ -140,6 +140,42 @@ def test_hierarchy_batch_matches_scalar(trace):
         assert [list(s) for s in lv._sets] == [list(s) for s in lr._sets]
 
 
+@SLOW
+@given(trace=traces(max_address=1 << 15))
+def test_hierarchy_level_walk_matches_interleaved_oracle(trace):
+    """``access_many`` walks level by level; ``access`` interleaves.
+
+    Both modes of the level walk must leave the same counters and LRU
+    state as the per-address ``access`` walk through all levels.
+    """
+    oracle = _small_hierarchy()
+    for address in trace:
+        oracle.access(address)
+    for mode in (scalar_mode, batch_mode):
+        walked = _small_hierarchy()
+        with mode():
+            walked.access_many(trace)
+        assert walked.memory_accesses == oracle.memory_accesses
+        for lo, lw in zip(oracle.levels, walked.levels):
+            assert _stats_tuple(lw.stats) == _stats_tuple(lo.stats)
+            assert [list(s) for s in lw._sets] == [list(s) for s in lo._sets]
+
+
+@SLOW
+@given(cache=small_caches(), trace=traces())
+def test_filter_misses_returns_the_miss_stream_in_order(cache, trace):
+    addresses = as_addresses(trace)
+    oracle = _clone(cache)
+    expected = [a for a in trace if not oracle.access(a)]
+    for mode in (scalar_mode, batch_mode):
+        replayed = _clone(cache)
+        with mode():
+            misses = replayed.filter_misses(addresses)
+        assert misses.dtype == np.int64
+        assert misses.tolist() == expected
+        assert _stats_tuple(replayed.stats) == _stats_tuple(oracle.stats)
+
+
 # ----------------------------------------------------------------------
 # TLB — both the capacity shortcut and the eviction fallback
 # ----------------------------------------------------------------------

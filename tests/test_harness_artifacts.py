@@ -3,17 +3,24 @@
 Covers the content-addressed artifact key, the in-process memo and
 the SweepCache npz persistence layer (round-trip, corruption-as-miss),
 the determinism and JSON-nativeness of ``simulate_cell_counters``,
-and the ``counters`` field riding along in cached sweep payloads.
+its per-geometry replay against the ``PapiEventSet`` oracle, and the
+``counters`` field riding along in cached sweep payloads.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
 
+from repro.cache.batch import scalar_mode
+from repro.counters.papi import PapiEventSet
 from repro.devices import get_device
+from repro.devices.catalog import device_names
 from repro.harness import artifacts as art
 from repro.harness.artifacts import (
     ARTIFACT_VERSION,
@@ -29,6 +36,8 @@ from repro.harness.sweep import (
     result_from_payload,
     result_to_payload,
 )
+from repro.sizing.verify import scaled_spec, touched_bytes
+from repro.telemetry.metrics import default_registry
 
 
 @pytest.fixture(autouse=True)
@@ -187,6 +196,122 @@ def test_simulate_cell_counters_is_deterministic_and_json_native():
     for name, value in first.items():
         assert type(value) is int, name
     json.dumps(first)
+
+
+# ----------------------------------------------------------------------
+# Per-geometry replay against the PapiEventSet oracle
+# ----------------------------------------------------------------------
+#: crc tiny fits every cache; hmm small replays on a hierarchy scaled by
+#: 0.135; fft small walks 14 distinct geometry prefixes.
+ORACLE_SHAPES = (("crc", "tiny"), ("hmm", "small"), ("fft", "small"))
+
+
+def _oracle_counters(spec, artifacts) -> dict[str, int]:
+    """A fresh ``PapiEventSet`` replay on the scaled spec, per cell."""
+    factor = min(1.0, touched_bytes(artifacts.trace)
+                 / max(artifacts.footprint_bytes, 1))
+    events = PapiEventSet(scaled_spec(spec, factor))
+    events.start()
+    if artifacts.trace.size:
+        events.record_memory_trace(artifacts.trace)
+    if artifacts.branch_pcs.size:
+        events.record_branch_trace(artifacts.branch_pcs,
+                                   artifacts.branch_outcomes)
+    return {name: int(value)
+            for name, value in events.stop().counts.items()}
+
+
+@pytest.fixture(scope="module")
+def oracle_shapes():
+    """``[(artifacts, {device: oracle counts})]`` for ORACLE_SHAPES."""
+    clear_memo()
+    shapes = []
+    for benchmark, size in ORACLE_SHAPES:
+        artifacts = get_cell_artifacts(benchmark, size)
+        shapes.append((artifacts, {
+            name: _oracle_counters(get_device(name), artifacts)
+            for name in device_names()}))
+    return shapes
+
+
+def _assert_matches_oracle(artifacts, expected: dict) -> None:
+    for name, counts in expected.items():
+        got = simulate_cell_counters(get_device(name), artifacts)
+        assert got == counts, (artifacts.benchmark, artifacts.size, name)
+        assert list(got) == list(counts)
+
+
+def test_counters_match_oracle_device_major(oracle_shapes):
+    for artifacts, expected in oracle_shapes:
+        _assert_matches_oracle(artifacts, expected)
+
+
+def test_counters_match_oracle_shape_interleaved(oracle_shapes):
+    (a, expected_a), (b, expected_b), _ = oracle_shapes
+    for name in device_names():
+        spec = get_device(name)
+        assert simulate_cell_counters(spec, a) == expected_a[name]
+        assert simulate_cell_counters(spec, b) == expected_b[name]
+        assert simulate_cell_counters(spec, a) == expected_a[name]
+
+
+def test_counters_key_on_the_trace_not_its_name(oracle_shapes):
+    """A ``dataclasses.replace`` twin shares the name, not the trace.
+
+    The rotated trace has the same length and footprint, hence the
+    same scale factor and geometry prefixes, but different misses.
+    """
+    differs = 0
+    for artifacts, expected in oracle_shapes:
+        _assert_matches_oracle(artifacts, expected)
+        twin = dataclasses.replace(
+            artifacts, trace=np.roll(artifacts.trace, artifacts.trace.size // 3))
+        for name in device_names():
+            spec = get_device(name)
+            want = _oracle_counters(spec, twin)
+            assert simulate_cell_counters(spec, twin) == want, name
+            differs += want != expected[name]
+        _assert_matches_oracle(artifacts, expected)
+    assert differs
+
+
+def test_counters_match_oracle_in_scalar_mode(oracle_shapes):
+    with scalar_mode():
+        for artifacts, expected in oracle_shapes:
+            _assert_matches_oracle(artifacts, expected)
+
+
+def test_counter_replay_memo_holds_one_instance():
+    a = get_cell_artifacts("crc", "tiny", trace_len=4096)
+    b = get_cell_artifacts("fft", "tiny", trace_len=4096)
+    spec = get_device("i7-6700K")
+    simulate_cell_counters(spec, a)
+    held_a = weakref.ref(art._replay)
+    assert held_a().artifacts is a and held_a().levels
+    simulate_cell_counters(spec, b)
+    gc.collect()
+    assert held_a() is None  # a's miss streams went with the switch
+    assert art._replay.artifacts is b
+    held_b = weakref.ref(art._replay)
+    clear_memo()
+    gc.collect()
+    assert art._replay is None and held_b() is None
+
+
+def test_counter_levels_metric_counts_replays_and_reuse():
+    artifacts = get_cell_artifacts("crc", "tiny")
+    family = default_registry().counter("harness_counter_levels_total")
+    before = {outcome: family.value(outcome=outcome)
+              for outcome in ("replayed", "reused")}
+    for name in device_names():
+        simulate_cell_counters(get_device(name), artifacts)
+    replayed = family.value(outcome="replayed") - before["replayed"]
+    reused = family.value(outcome="reused") - before["reused"]
+    walked = sum(min(len(get_device(name).caches), 3)
+                 for name in device_names())
+    assert replayed == 10  # distinct geometry prefixes over 15 devices
+    assert replayed + reused == walked
+    assert 'outcome="reused"' in default_registry().expose()
 
 
 def test_run_benchmark_attaches_counters(tmp_path):
