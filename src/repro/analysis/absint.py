@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 from ..ocl.clsource import CLSourceError
@@ -85,6 +86,15 @@ INF = float("inf")
 
 class SymExpr:
     """Base class of the symbolic endpoint language."""
+
+    @functools.cached_property
+    def compiled(self) -> Callable[[dict[str, float]], float]:
+        """This expression lowered to a straight-line function of the env.
+
+        Built on first use and kept on the (immutable) expression, so it
+        lives exactly as long as the IR that owns the expression.
+        """
+        return _compile(self)
 
 
 @dataclass(frozen=True)
@@ -177,25 +187,76 @@ _NUM_OPS = {
 }
 
 
+#: Local names the generated code calls the non-inline operators by.
+_OP_NAMES = {"*": "mul", "/": "div", "%": "mod", "<<": "shl", ">>": "shr"}
+
+
+def _compile(expr: SymExpr) -> Callable[[dict[str, float]], float]:
+    """Lower ``expr`` into one assignment per distinct DAG node.
+
+    Nodes are numbered in left-to-right post-order, keyed by identity,
+    so a shared subtree is computed once and symbols are read in the
+    order a recursive evaluation would read them.  Constants are bound
+    from a tuple (``Const.value`` keeps its exact object and type);
+    ``+``/``-`` are inline, the other operators call :data:`_NUM_OPS`.
+    """
+    bound: list[object] = []
+    lines: list[str] = []
+    names: dict[int, str] = {}
+
+    def visit(node: SymExpr) -> str:
+        name = names.get(id(node))
+        if name is not None:
+            return name
+        if isinstance(node, Const):
+            name = f"b{len(bound)}"
+            bound.append(node.value)
+        else:
+            if isinstance(node, Sym):
+                rhs = f"env[{node.name!r}]"
+            elif isinstance(node, SBin):
+                a, b = visit(node.lhs), visit(node.rhs)
+                if node.op in ("+", "-"):
+                    rhs = f"{a} {node.op} {b}"
+                else:
+                    rhs = f"{_OP_NAMES[node.op]}({a}, {b})"
+            elif isinstance(node, (SMin, SMax)):
+                fn = "min" if isinstance(node, SMin) else "max"
+                args = "".join(visit(a) + ", " for a in node.args)
+                rhs = f"{fn}(({args}))"  # one tuple: a single arg works too
+            else:
+                raise TypeError(f"unknown symbolic node {type(node).__name__}")
+            name = f"v{len(lines)}"
+            lines.append(f"        {name} = {rhs}\n")
+        names[id(node)] = name
+        return name
+
+    result = visit(expr)
+    unpack = "".join(f"b{i}, " for i in range(len(bound)))
+    source = (
+        "def build(bound, ops):\n"
+        + "".join(f"    {n} = ops[{op!r}]\n" for op, n in _OP_NAMES.items())
+        + (f"    {unpack}= bound\n" if bound else "")
+        + "    def evaluate(env):\n"
+        + "".join(lines)
+        + f"        return {result}\n"
+        + "    return evaluate\n"
+    )
+    namespace: dict[str, Callable[..., Callable[[dict[str, float]], float]]] = {}
+    exec(compile(source, "<symexpr>", "exec"), namespace)
+    return namespace["build"](tuple(bound), _NUM_OPS)
+
+
 def sym_eval(expr: SymExpr, env: dict[str, float]) -> float:
     """Evaluate a symbolic endpoint with concrete launch values."""
-    if isinstance(expr, Const):
-        return expr.value
-    if isinstance(expr, Sym):
-        if expr.name not in env:
-            raise CLSourceError(
-                f"unbound symbol {expr.name!r} while evaluating a static "
-                f"footprint (missing scalar in the launch model?)"
-            )
-        return env[expr.name]
-    if isinstance(expr, SBin):
-        return _NUM_OPS[expr.op](sym_eval(expr.lhs, env),
-                                 sym_eval(expr.rhs, env))
-    if isinstance(expr, SMin):
-        return min(sym_eval(a, env) for a in expr.args)
-    if isinstance(expr, SMax):
-        return max(sym_eval(a, env) for a in expr.args)
-    raise TypeError(f"unknown symbolic node {type(expr).__name__}")
+    evaluate = expr.compiled
+    try:
+        return evaluate(env)
+    except KeyError as exc:
+        raise CLSourceError(
+            f"unbound symbol {exc.args[0]!r} while evaluating a static "
+            f"footprint (missing scalar in the launch model?)"
+        ) from None
 
 
 def _fold(op: str, lhs: SymExpr, rhs: SymExpr) -> SymExpr:

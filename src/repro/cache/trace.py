@@ -86,16 +86,18 @@ def interleaved(traces: list[np.ndarray]) -> np.ndarray:
     Shorter traces are exhausted first; remaining entries of longer
     traces follow in order.
     """
-    traces = [t for t in traces if len(t)]
+    traces = [np.asarray(t, dtype=np.int64) for t in traces if len(t)]
     if not traces:
         return np.empty(0, dtype=np.int64)
-    longest = max(len(t) for t in traces)
-    out = []
-    for i in range(longest):
-        for t in traces:
-            if i < len(t):
-                out.append(t[i])
-    return np.asarray(out, dtype=np.int64)
+    # Between two consecutive distinct lengths the same traces are still
+    # running, so that stretch is their slices stacked column-wise.
+    parts: list[np.ndarray] = []
+    start = 0
+    for stop in sorted({len(t) for t in traces}):
+        running = [t[start:stop] for t in traces if len(t) >= stop]
+        parts.append(np.stack(running, axis=1).ravel())
+        start = stop
+    return np.concatenate(parts)
 
 
 def offset_trace(trace: np.ndarray, base_address: int) -> np.ndarray:

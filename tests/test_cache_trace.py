@@ -80,9 +80,34 @@ class TestComposition:
         assert len(trace.interleaved([])) == 0
         assert len(trace.interleaved([np.empty(0, np.int64)])) == 0
 
+    @pytest.mark.parametrize("seed", range(25))
+    def test_interleaved_matches_loop_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        traces = [
+            rng.integers(-(1 << 40), 1 << 40, size=rng.integers(0, 40),
+                         dtype=np.int64)
+            for _ in range(rng.integers(0, 6))
+        ]
+        out = trace.interleaved(traces)
+        assert out.dtype == np.int64
+        np.testing.assert_array_equal(out, _interleaved_oracle(traces))
+
     def test_offset(self):
         t = trace.offset_trace(np.array([0, 4], dtype=np.int64), 1000)
         assert t.tolist() == [1000, 1004]
 
     def test_offset_empty(self):
         assert len(trace.offset_trace(np.empty(0, np.int64), 10)) == 0
+
+
+def _interleaved_oracle(traces):
+    """The element-by-element round robin ``interleaved`` replaced."""
+    traces = [t for t in traces if len(t)]
+    if not traces:
+        return np.empty(0, dtype=np.int64)
+    out = []
+    for i in range(max(len(t) for t in traces)):
+        for t in traces:
+            if i < len(t):
+                out.append(t[i])
+    return np.asarray(out, dtype=np.int64)
