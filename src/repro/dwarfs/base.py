@@ -31,6 +31,7 @@ IR analyses read.
 from __future__ import annotations
 
 import abc
+import functools
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -205,6 +206,16 @@ class Benchmark(abc.ABC):
     def footprint_bytes(self) -> int:
         """Device-side memory footprint: the sum of the declared buffers."""
         return sum(b.nbytes for b in self.static_launches().buffers.values())
+
+    @functools.cached_property
+    def launch_footprint_bytes(self) -> int:
+        """:meth:`footprint_bytes`, computed once per instance.
+
+        For the per-launch profile callbacks, which would otherwise
+        rebuild the launch model at every enqueue.  The scale
+        parameters the model derives from are fixed at construction.
+        """
+        return self.footprint_bytes()
 
     @abc.abstractmethod
     def profiles(self) -> list[KernelProfile]:

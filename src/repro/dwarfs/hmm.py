@@ -343,7 +343,7 @@ class HMM(Benchmark):
             int_ops=2.0 * n,
             bytes_read=(n * n + 3 * n) * 4.0,
             bytes_written=n * 4.0,
-            working_set_bytes=float(self.footprint_bytes()),
+            working_set_bytes=float(self.launch_footprint_bytes),
             work_items=n,
             seq_fraction=0.7,
             strided_fraction=0.3,
@@ -365,7 +365,7 @@ class HMM(Benchmark):
             int_ops=t * n,
             bytes_read=(t * 3 * n + n * n) * 4.0,
             bytes_written=n * n * 4.0,
-            working_set_bytes=float(self.footprint_bytes()),
+            working_set_bytes=float(self.launch_footprint_bytes),
             work_items=n * n,
             seq_fraction=0.8, strided_fraction=0.2,
         )
@@ -378,7 +378,7 @@ class HMM(Benchmark):
             int_ops=t * n,
             bytes_read=t * 2 * n * 4.0,
             bytes_written=n * s * 4.0,
-            working_set_bytes=float(self.footprint_bytes()),
+            working_set_bytes=float(self.launch_footprint_bytes),
             work_items=n * s,
             seq_fraction=0.7, strided_fraction=0.1, random_fraction=0.2,
         )

@@ -212,7 +212,7 @@ class LUD(Benchmark):
             int_ops=b * m,
             bytes_read=(2 * m * b + b * b) * 4.0,
             bytes_written=2 * m * b * 4.0,
-            working_set_bytes=float(self.footprint_bytes()),
+            working_set_bytes=float(self.launch_footprint_bytes),
             work_items=max(2 * m, 1),
             seq_fraction=0.5,
             strided_fraction=0.5,  # the column panel is column-major access
@@ -227,7 +227,7 @@ class LUD(Benchmark):
             int_ops=m * m,
             bytes_read=(2 * m * b + m * m) * 4.0,
             bytes_written=m * m * 4.0,
-            working_set_bytes=float(self.footprint_bytes()),
+            working_set_bytes=float(self.launch_footprint_bytes),
             work_items=max(m * m, 1),
             seq_fraction=0.8,
             strided_fraction=0.2,

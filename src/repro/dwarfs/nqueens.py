@@ -61,6 +61,9 @@ WALKS_PER_ITEM = 400
 #: Work items in estimator mode.
 ESTIMATOR_ITEMS = 64
 
+#: Low 32 bits of a PCG64 output word.
+_U32 = 0xFFFFFFFF
+
 
 def solve_subproblem(n: int, cols: int, diag_l: int, diag_r: int, row: int) -> int:
     """Count completions of a partial placement (bitmask DFS)."""
@@ -99,7 +102,9 @@ def knuth_walk(n: int, rng: np.random.Generator) -> int:
 
     The estimate is the product of the branching factors along the
     walk if it reaches a full placement, else 0.  Its expectation over
-    walks is exactly the number of solutions (Knuth 1975).
+    walks is exactly the number of solutions (Knuth 1975).  The scalar
+    oracle for :func:`_nqueens_estimate_kernel`: one ``rng.integers``
+    call per step.
     """
     full = (1 << n) - 1
     cols = dl = dr = 0
@@ -131,14 +136,79 @@ def _nqueens_exact_kernel(nd, n, prefix_cols, prefix_dl, prefix_dr, counts):
         )
 
 
+def uint32_stream(bitgen: np.random.BitGenerator, words: int) -> list[int]:
+    """The next ``2 * words`` values ``next_uint32`` draws from ``bitgen``.
+
+    numpy's PCG64 yields 32-bit values by splitting each 64-bit output
+    word, low half first.  Splitting ``random_raw`` words with masks and
+    shifts (not a ``uint32`` view) keeps that order on any byte order.
+    """
+    raw = bitgen.random_raw(words)
+    out = np.empty(2 * words, dtype=np.uint64)
+    out[0::2] = raw & _U32
+    out[1::2] = raw >> 32
+    return out.tolist()
+
+
+def bounded_draw(k: int, draws: list[int], pos: int,
+                 bitgen: np.random.BitGenerator) -> tuple[int, int]:
+    """``Generator.integers(k)`` for ``1 <= k <= 2**32`` on a uint32 stream.
+
+    numpy's bounded draw (Lemire's multiply-shift with rejection):
+    ``k == 1`` draws nothing; otherwise ``m = u32 * k``, redrawn while
+    its low word is below ``(2**32 - k) % k``, and the choice is
+    ``m >> 32``.  Reads ``draws`` from ``pos`` and returns the choice
+    and the next position.  Each redraw appends one more ``bitgen``
+    word to ``draws``, so a caller that sized the stream at one value
+    per draw never runs past its end.
+    """
+    if k == 1:
+        return 0, pos
+    m = draws[pos] * k
+    pos += 1
+    if m & _U32 < k:
+        threshold = (_U32 + 1 - k) % k
+        while m & _U32 < threshold:
+            draws.extend(uint32_stream(bitgen, 1))
+            m = draws[pos] * k
+            pos += 1
+    return m >> 32, pos
+
+
 def _nqueens_estimate_kernel(nd, n, seeds, estimates):
-    """One work item per seed: mean of ``WALKS_PER_ITEM`` Knuth walks."""
+    """One work item per seed: mean of ``WALKS_PER_ITEM`` Knuth walks.
+
+    Each item draws its PCG64 stream once and runs the walks of
+    :func:`knuth_walk` against it; the estimates are bit-identical to
+    calling ``knuth_walk(n, default_rng(seed))`` per walk.
+    """
     n = int(n)
+    full = (1 << n) - 1
     for idx in range(len(seeds)):
-        rng = np.random.default_rng(int(seeds[idx]))
+        bitgen = np.random.default_rng(int(seeds[idx])).bit_generator
+        # at most n draws per walk, plus rejections (extended on demand)
+        draws = uint32_stream(bitgen, WALKS_PER_ITEM * n // 2 + n)
+        pos = 0
         total = 0
         for _ in range(WALKS_PER_ITEM):
-            total += knuth_walk(n, rng)
+            cols = dl = dr = 0
+            weight = 1
+            for _ in range(n):
+                free = full & ~(cols | dl | dr)
+                k = free.bit_count()
+                if k == 0:
+                    weight = 0
+                    break
+                weight *= k
+                choice, pos = bounded_draw(k, draws, pos, bitgen)
+                bit = free
+                for _ in range(choice):
+                    bit &= bit - 1
+                bit &= -bit
+                cols |= bit
+                dl = ((dl | bit) << 1) & full
+                dr = (dr | bit) >> 1
+            total += weight
         estimates[idx] = total / WALKS_PER_ITEM
 
 

@@ -265,7 +265,7 @@ class NW(Benchmark):
             int_ops=10.0 * cells,           # 3 adds, 2 max, index arithmetic
             bytes_read=cells * 16.0,        # 3 neighbours + similarity
             bytes_written=cells * 4.0,
-            working_set_bytes=float(self.footprint_bytes()),
+            working_set_bytes=float(self.launch_footprint_bytes),
             work_items=max(blocks * b, 1),
             seq_fraction=0.4,
             strided_fraction=0.6,           # row-above accesses stride by N

@@ -324,7 +324,8 @@ class SweepCache:
     sharing a store never observe torn entries; torn *content* (a
     truncated npz from a crashed legacy writer, a corrupt remote blob)
     and an unreachable backend are read as a miss with a logged
-    warning, never a crash.
+    warning, never a crash.  Each such fallback is counted in
+    ``sweep_cache_degraded_total{backend,op,reason}``.
     """
 
     def __init__(self, root: str | Path | CacheBackend):
@@ -333,6 +334,14 @@ class SweepCache:
             self.root: Path | str = self.backend.root
         else:
             self.root = self.backend.describe()
+
+    def _degraded(self, op: str, reason: str) -> None:
+        """Count one read or write that fell back to a miss or a no-op."""
+        default_registry().counter(
+            "sweep_cache_degraded_total",
+            "Cache reads served as a miss and writes dropped, by reason",
+        ).inc(backend="local" if isinstance(self.backend, LocalCacheBackend)
+              else "remote", op=op, reason=reason)
 
     # ------------------------------------------------------------------
     def _local_path(self, kind: str, key: str) -> Path:
@@ -356,6 +365,9 @@ class SweepCache:
             except _CORRUPT as exc:
                 _log.warning("treating %s cache entry %s as a miss "
                              "(corrupt or unreachable): %s", kind, key, exc)
+                self._degraded("read", "backend"
+                               if isinstance(exc, CacheBackendError)
+                               else "corrupt")
                 value = None
             sp.set_attribute("hit", value is not None)
             return value
@@ -374,6 +386,7 @@ class SweepCache:
             except CacheBackendError as exc:
                 _log.warning("sweep cache backend failed to store %s %s: %s",
                              kind, key, exc)
+                self._degraded("write", "backend")
                 return key
         if isinstance(self.backend, LocalCacheBackend):
             return self.backend.path_for(kind, key)

@@ -118,3 +118,28 @@ class TestLifecycle:
             bench.run_iteration(cpu_queue)
         bench.collect_results(cpu_queue)
         bench.validate()
+
+
+#: Dwarfs whose per-launch profile callbacks read the cached footprint.
+PER_LAUNCH_FOOTPRINT = ["hmm", "lud", "nw"]
+
+
+@pytest.mark.parametrize("name", PER_LAUNCH_FOOTPRINT)
+def test_launch_footprint_equals_footprint_at_every_preset(name):
+    for size in get_benchmark(name).presets:
+        bench = create(name, size)
+        assert bench.launch_footprint_bytes == bench.footprint_bytes(), size
+
+
+@pytest.mark.parametrize("name", PER_LAUNCH_FOOTPRINT)
+def test_iterations_build_the_launch_model_at_most_once(name, cpu_context,
+                                                        cpu_queue):
+    bench = create(name, "tiny")
+    bench.host_setup(cpu_context)
+    bench.transfer_inputs(cpu_queue)
+    builds = []
+    build = bench.static_launches
+    bench.static_launches = lambda: builds.append(1) or build()
+    for _ in range(3):
+        bench.run_iteration(cpu_queue)
+    assert len(builds) <= 1

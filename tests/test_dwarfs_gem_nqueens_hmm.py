@@ -8,10 +8,14 @@ from repro.dwarfs.hmm import HMM
 from repro.dwarfs.nqueens import (
     KNOWN_SOLUTIONS,
     MAX_EXACT_N,
+    WALKS_PER_ITEM,
     NQueens,
+    _nqueens_estimate_kernel,
+    bounded_draw,
     expand_prefixes,
     knuth_walk,
     solve_subproblem,
+    uint32_stream,
 )
 
 
@@ -83,6 +87,90 @@ class TestNQueensPrimitives:
     def test_knuth_walk_zero_for_dead_end(self, rng):
         # n=3 has no solutions: every walk dies
         assert all(knuth_walk(3, rng) == 0 for _ in range(50))
+
+
+def _oracle_estimates(n, seeds):
+    """The estimator as one ``rng.integers`` call per step: the oracle."""
+    out = np.empty(len(seeds))
+    for idx, seed in enumerate(seeds):
+        rng = np.random.default_rng(int(seed))
+        out[idx] = sum(knuth_walk(n, rng)
+                       for _ in range(WALKS_PER_ITEM)) / WALKS_PER_ITEM
+    return out
+
+
+class TestNQueensRawStream:
+    """The estimate kernel walks the raw PCG64 stream; ``knuth_walk``
+    with a fresh ``default_rng(seed)`` per item is its oracle."""
+
+    def _kernel(self, n, seeds):
+        seeds = np.asarray(seeds, dtype=np.int64)
+        estimates = np.zeros(len(seeds), dtype=np.float64)
+        _nqueens_estimate_kernel(None, n, seeds, estimates)
+        return estimates
+
+    def test_shipped_seeds_bit_identical(self, cpu_context):
+        bench = NQueens(n=18)
+        bench.host_setup(cpu_context)
+        got = self._kernel(18, bench.seeds)
+        assert len(bench.seeds) == 64
+        assert np.array_equal(got, _oracle_estimates(18, bench.seeds))
+
+    @pytest.mark.parametrize("n", [14, 16, 20])
+    def test_other_boards_bit_identical(self, n):
+        seeds = [0, 1, 7, 2024]
+        assert np.array_equal(self._kernel(n, seeds),
+                              _oracle_estimates(n, seeds))
+
+    def test_stream_is_next_uint32(self):
+        oracle = np.random.default_rng(5).bit_generator.ctypes
+        want = [oracle.next_uint32(oracle.state) for _ in range(8)]
+        bitgen = np.random.default_rng(5).bit_generator
+        assert uint32_stream(bitgen, 3) == want[:6]
+        assert uint32_stream(bitgen, 1) == want[6:]  # continues the stream
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_bounded_draw_matches_integers(self, seed):
+        """Mixed bounds, including ones where rejections are frequent."""
+        bounds = [1, 2, 3, 17, 2**31 + 1, 3_000_000_000, 2**32 - 1]
+        ks = np.random.default_rng(1000 + seed).choice(bounds, size=300)
+        ks = [int(k) for k in ks]
+        rng = np.random.default_rng(seed)
+        want = [int(rng.integers(k)) for k in ks]
+        bitgen = np.random.default_rng(seed).bit_generator
+        # one value per draw: every rejection has to extend the stream
+        draws = uint32_stream(bitgen, (len(ks) + 1) // 2)
+        pos, got = 0, []
+        for k in ks:
+            choice, pos = bounded_draw(k, draws, pos, bitgen)
+            got.append(choice)
+        assert got == want
+        assert pos > sum(k > 1 for k in ks)  # rejections did fire
+        # both sides consumed the same stream: the next draw agrees
+        assert bounded_draw(17, draws, pos, bitgen)[0] == int(rng.integers(17))
+
+    @pytest.mark.parametrize("k", [3, 17, 2**31 + 1, 2**32 - 1])
+    def test_bounded_draw_rejection_boundary(self, k):
+        """A low word one below ``(2**32 - k) % k`` is redrawn; one equal
+        to it is kept.  Random streams almost never land on the edge."""
+        threshold = (2**32 - k) % k
+        inv = pow(k, -1, 2**32)
+        below = (threshold - 1) * inv % 2**32
+        edge = threshold * inv % 2**32
+        bitgen = np.random.default_rng(0).bit_generator
+        assert bounded_draw(k, [below, edge], 0, bitgen) == (
+            edge * k >> 32, 2)
+
+    def test_k1_consumes_no_draw(self):
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        assert int(rng.integers(1)) == 0
+        assert rng.bit_generator.state == before
+        bitgen = np.random.default_rng(3).bit_generator
+        draws = uint32_stream(bitgen, 2)
+        state = bitgen.state
+        assert bounded_draw(1, draws, 1, bitgen) == (0, 1)
+        assert bitgen.state == state and len(draws) == 4
 
 
 class TestNQueensBenchmark:

@@ -245,6 +245,45 @@ class TestSweepCache:
         assert len(cache) == 0
 
 
+def _degraded(**labels):
+    return default_registry().counter("sweep_cache_degraded_total").value(
+        **labels)
+
+
+class TestDegradedCounter:
+    """Every read served as a miss and every dropped write is counted."""
+
+    def test_truncated_npz_counts_corrupt_read(self, tmp_path):
+        cache = SweepCache(tmp_path)
+        config = RunConfig("fft", "tiny", "i7-6700K", samples=4)
+        run_sweep([config], jobs=1, cache=cache)
+        path = cache.path_for(cell_key(config))
+        path.write_bytes(path.read_bytes()[:100])
+        labels = dict(backend="local", op="read", reason="corrupt")
+        before = _degraded(**labels)
+        assert cache.get(cell_key(config)) is None
+        assert _degraded(**labels) == before + 1
+
+    def test_unreachable_remote_counts_backend_failures(self):
+        import socket
+
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            dead_port = probe.getsockname()[1]
+        cache = SweepCache(f"remote://127.0.0.1:{dead_port}")
+        cache.backend.timeout_s = 1.0
+        read = dict(backend="remote", op="read", reason="backend")
+        write = dict(backend="remote", op="write", reason="backend")
+        before = _degraded(**read), _degraded(**write)
+        config = RunConfig("fft", "tiny", "i7-6700K", samples=4)
+        assert cache.get(cell_key(config)) is None
+        assert _degraded(**read) == before[0] + 1
+        cache.put(cell_key(config), config, run_benchmark(config))
+        assert _degraded(**write) == before[1] + 1
+        assert _degraded(backend="remote", op="read",
+                         reason="corrupt") == 0
+
+
 class TestResume:
     def test_resume_after_simulated_crash(self, tmp_path):
         """A sweep killed mid-matrix resumes: only missing cells run."""
