@@ -6,15 +6,16 @@ implementations of their trace entry point (``access_many`` /
 
 * the **scalar oracle** — the original per-address Python loop, kept
   byte-for-byte as the reference semantics;
-* the **batch path** — a numpy rewrite that decomposes whole address
-  arrays at once and only drops to tight Python loops over the
-  irreducibly sequential state updates (per-set LRU stacks,
-  saturating counters).
+* the **batch path** — a numpy rewrite over whole address arrays.
+  The set-associative cache has no Python loop left: its LRU hits
+  come from next-use distances (:func:`repro.cache.setassoc.lru_replay`).
+  The TLB and the branch predictor still walk their irreducibly
+  sequential updates (the TLB's LRU dict when it may evict, the
+  saturating counters) in tight Python loops over compressed runs.
 
-Both paths mutate the *same* canonical state (the per-set LRU dicts,
-the counter table), so scalar and batch calls can interleave freely
-and property tests can pin the batch results against the oracle
-bit-exactly (``tests/test_cache_batch.py``).
+Both paths work on the *same* state, so scalar and batch calls can
+interleave freely and property tests can pin the batch results
+against the oracle bit-exactly (``tests/test_cache_batch.py``).
 
 The batch path is on by default.  ``REPRO_SIM_BATCH=0`` (or ``false``
 / ``off``) falls back to the scalar oracle everywhere — the knob the

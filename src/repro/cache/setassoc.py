@@ -6,15 +6,16 @@ tags in LRU order.  Used by the problem-size verifier to reproduce the
 paper's PAPI-counter methodology: miss rates jump when a benchmark's
 working set no longer fits a level.
 
-Two trace entry points share the same canonical state (the per-set
-LRU dicts): the scalar :meth:`SetAssociativeCache.access` oracle and
-the vectorized :meth:`SetAssociativeCache.access_batch` used by
-``access_many`` when batch simulation is enabled (see
-:mod:`repro.cache.batch` and ``docs/performance.md``).  The batch
-path is bit-exact against the oracle: sets are mutually independent,
-so grouping a trace by set index and replaying each group in order
-produces the same final state and the same per-access hit/miss
-outcomes as the interleaved scalar walk.
+Two trace entry points share one LRU state: the scalar
+:meth:`SetAssociativeCache.access` oracle and the vectorized
+:meth:`SetAssociativeCache.access_batch` used by ``access_many`` when
+batch simulation is enabled (see :mod:`repro.cache.batch` and
+``docs/performance.md``).  The batch path has no per-set or per-access
+Python loop: :func:`lru_replay` decides every hit from next-use
+distances over whole arrays, and is bit-exact against the oracle in
+hit outcomes and in each set's final LRU order.  The state is held as
+per-set dicts once the scalar path reads it, and as one array of
+resident lines after a batch call.
 """
 
 from __future__ import annotations
@@ -29,6 +30,120 @@ from .batch import as_addresses, batch_enabled
 
 def _is_pow2(x: int) -> bool:
     return x > 0 and (x & (x - 1)) == 0
+
+
+_NO_LINES = np.empty(0, dtype=np.int64)
+
+#: Elements one look-back block may gather (bounds its temporaries).
+_LOOKBACK_BUDGET = 1 << 18
+
+
+def lru_replay(lines: np.ndarray, index_mask: int,
+               associativity: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact set-associative LRU over a line-number stream, in numpy.
+
+    Starts from an empty cache.  Returns the per-access hit mask and
+    the resident lines afterwards, grouped by set and LRU to MRU
+    within each set.  An access hits iff its line was used before in
+    the same set and fewer than ``associativity`` distinct lines of
+    that set were used in between (Mattson et al.'s stack distance).
+    With the stream grouped by set and each line's next use ``nxt``
+    known, the distinct lines strictly between a use at ``p`` and the
+    reuse at ``i`` are the positions ``j`` in ``(p, i)`` with
+    ``nxt[j] > i``: each line counted at its last use before ``i``.
+    """
+    total = int(lines.size)
+    pos = np.int32 if total < np.iinfo(np.int32).max else np.int64
+    order = None
+    if index_mask:
+        sets = lines & index_mask
+        if index_mask <= np.iinfo(np.uint16).max:
+            sets = sets.astype(np.uint16)  # radix sort
+        order = np.argsort(sets, kind="stable")
+        del sets
+        lines = lines[order]
+    # Consecutive uses of one line within a set are MRU re-hits that
+    # change nothing; only the run heads enter the replay.
+    head = np.empty(total, dtype=bool)
+    head[0] = True
+    np.not_equal(lines[1:], lines[:-1], out=head[1:])
+    heads = lines[head]
+    m = int(heads.size)
+    # Previous and next use of each head: equal lines are adjacent, in
+    # stream order, after one stable sort by tag (the stream is already
+    # grouped by set).  ``m`` means "never again".
+    tags = heads >> index_mask.bit_length()
+    tags -= tags.min()
+    if tags.max() <= np.iinfo(np.uint16).max:
+        tags = tags.astype(np.uint16)  # radix sort
+    by_line = np.argsort(tags, kind="stable").astype(pos)
+    del tags
+    reused = heads[by_line[1:]] == heads[by_line[:-1]]
+    cur = by_line[1:][reused]
+    prev = by_line[:-1][reused]
+    del by_line, reused
+    nxt = np.full(m, m, dtype=pos)
+    nxt[prev] = cur
+    hit = np.zeros(m, dtype=bool)
+    # Fewer than ``associativity`` positions in between: a hit outright.
+    near = cur - prev <= associativity
+    hit[cur[near]] = True
+    far = ~near
+    cur, prev = cur[far], prev[far]
+    del near, far
+    if cur.size:
+        # ``associativity`` distinct lines right before the reuse (all
+        # of the last positions live past it) is a miss outright: a
+        # sliding minimum of ``nxt`` settles most far reuses at once.
+        win = nxt.copy()  # win[j] = min(nxt[j - w + 1 : j + 1])
+        w = 1
+        while 2 * w <= associativity:
+            win[w:] = np.minimum(win[w:], win[:-w])
+            w *= 2
+        crowded = np.minimum(win[cur - 1],
+                             win[cur - associativity + w - 1]) > cur
+        del win
+        cur, prev = cur[~crowded], prev[~crowded]
+        del crowded
+    # Look back from each far reuse in doubling blocks, counting the
+    # positions whose next use lies beyond it; stop at
+    # ``associativity`` (miss) or at the previous use (hit).
+    lo = cur.copy()
+    seen = np.zeros(cur.size, dtype=pos)
+    width = associativity
+    while cur.size:
+        step = max(1, min(width, _LOOKBACK_BUDGET // cur.size))
+        idx = lo[:, None] - np.arange(1, step + 1, dtype=pos)
+        live = idx > prev[:, None]
+        np.maximum(idx, 0, out=idx)
+        live &= nxt[idx] > cur[:, None]
+        del idx
+        seen += np.count_nonzero(live, axis=1).astype(pos)
+        del live
+        lo -= step
+        missed = seen >= associativity
+        done = missed | (lo <= prev + 1)
+        hit[cur[done & ~missed]] = True
+        going = ~done
+        cur, prev, lo, seen = cur[going], prev[going], lo[going], seen[going]
+        width *= 2
+    # The resident lines: the last ``associativity`` lines of each set
+    # by last use, which is stream order of the final uses.
+    resident = heads[nxt == m]
+    del nxt
+    if index_mask:
+        sets = resident & index_mask
+        ends = np.searchsorted(sets, sets, side="right")
+        resident = resident[ends - np.arange(resident.size) <= associativity]
+    else:
+        resident = resident[-associativity:]
+    hits = np.ones(total, dtype=bool)  # the dropped repeats all hit
+    hits[head] = hit
+    if order is None:
+        return hits, resident
+    unsorted = np.empty(total, dtype=bool)
+    unsorted[order] = hits
+    return unsorted, resident
 
 
 @dataclass
@@ -109,9 +224,11 @@ class SetAssociativeCache:
         self._offset_bits = line_bytes.bit_length() - 1
         self._set_bits = n_sets.bit_length() - 1
         self._index_mask = n_sets - 1
-        # Per-set LRU stacks: dicts preserve insertion order; the first
-        # key is the LRU line, the last the MRU.
-        self._sets: list[dict[int, None]] = [dict() for _ in range(n_sets)]
+        # The LRU state lives in one of two forms: per-set dicts (see
+        # ``_sets``) once the scalar path has read them, otherwise the
+        # resident line numbers as left by the last batch call.
+        self._ways: list[dict[int, None]] | None = None
+        self._resident = _NO_LINES
         self.stats = CacheStats()
 
     # ------------------------------------------------------------------
@@ -164,64 +281,53 @@ class SetAssociativeCache:
     def access_batch(self, addresses: np.ndarray) -> np.ndarray:
         """Access a whole int64 address array; returns the hit mask.
 
-        Bit-exact against a scalar :meth:`access` loop: the trace is
-        decomposed into (set, tag) with one vector shift, grouped by
-        set (sets never interact, so per-set replay order equals the
-        scalar interleaving restricted to that set), and within each
-        set consecutive repeats of the same tag — guaranteed MRU hits
-        that cannot change state — are compressed away before the
-        remaining tags walk the LRU dict in a tight local loop.
+        Bit-exact against a scalar :meth:`access` loop.  The resident
+        lines, LRU to MRU per set, are replayed first as if just
+        accessed (which rebuilds exactly the current state), then the
+        whole stream goes through :func:`lru_replay` in one vectorized
+        pass.  The new state stays in array form until something reads
+        the per-set dicts.
         """
         addresses = np.asarray(addresses, dtype=np.int64).ravel()
         n = int(addresses.size)
-        hit_mask = np.empty(n, dtype=bool)
         if n == 0:
-            return hit_mask
+            return np.empty(0, dtype=bool)
         lines = addresses >> self._offset_bits
-        tags = lines >> self._set_bits
-        if self.n_sets == 1:
-            self._replay_set(0, np.arange(n), tags, hit_mask)
-        else:
-            set_idx = lines & self._index_mask
-            order = np.argsort(set_idx, kind="stable")
-            sorted_sets = set_idx[order]
-            bounds = np.flatnonzero(sorted_sets[1:] != sorted_sets[:-1]) + 1
-            starts = np.concatenate(([0], bounds)).tolist()
-            ends = np.concatenate((bounds, [n])).tolist()
-            for gs, ge in zip(starts, ends):
-                positions = order[gs:ge]
-                self._replay_set(int(sorted_sets[gs]), positions,
-                                 tags[positions], hit_mask)
+        seed = self._resident_lines()
+        if seed.size:
+            lines = np.concatenate((seed, lines))
+        hits, self._resident = lru_replay(lines, self._index_mask,
+                                          self.associativity)
+        self._ways = None
+        hit_mask = hits[seed.size:]
         self.stats.record_batch(n, np.count_nonzero(hit_mask))
         return hit_mask
 
-    def _replay_set(self, set_index: int, positions: np.ndarray,
-                    tags_g: np.ndarray, hit_mask: np.ndarray) -> None:
-        """Replay one set's tag subsequence, writing its hit outcomes."""
-        m = int(tags_g.size)
-        if m == 0:
-            return
-        # Consecutive equal tags within a set are MRU re-hits: no state
-        # change, so only the run heads need to touch the LRU dict.
-        keep = np.empty(m, dtype=bool)
-        keep[0] = True
-        np.not_equal(tags_g[1:], tags_g[:-1], out=keep[1:])
-        ways = self._sets[set_index]
-        assoc = self.associativity
-        run_hits: list[bool] = []
-        append = run_hits.append
-        for tag in tags_g[keep].tolist():
-            if tag in ways:
-                del ways[tag]
-                ways[tag] = None
-                append(True)
-            else:
-                if len(ways) >= assoc:
-                    ways.pop(next(iter(ways)))
-                ways[tag] = None
-                append(False)
-        hit_mask[positions] = True  # compressed repeats always hit
-        hit_mask[positions[keep]] = run_hits
+    def _resident_lines(self) -> np.ndarray:
+        """Resident line numbers, grouped by set, LRU to MRU within each."""
+        if self._ways is None:
+            return self._resident
+        set_bits = self._set_bits
+        return np.asarray([(tag << set_bits) | s
+                           for s, ways in enumerate(self._ways) for tag in ways],
+                          dtype=np.int64)
+
+    @property
+    def _sets(self) -> list[dict[int, None]]:
+        """Per-set LRU stacks: the first key is the LRU tag, the last the MRU.
+
+        Built from the array state on first read after a batch call, so
+        a cache that only ever sees :meth:`access_batch` never builds
+        one dict per set.
+        """
+        if self._ways is None:
+            ways: list[dict[int, None]] = [dict() for _ in range(self.n_sets)]
+            set_bits, mask = self._set_bits, self._index_mask
+            for line in self._resident.tolist():
+                ways[line & mask][line >> set_bits] = None
+            self._ways = ways
+            self._resident = _NO_LINES
+        return self._ways
 
     # ------------------------------------------------------------------
     def contains(self, address: int) -> bool:
@@ -235,8 +341,8 @@ class SetAssociativeCache:
 
     def flush(self) -> None:
         """Invalidate all lines (counters are preserved)."""
-        for s in self._sets:
-            s.clear()
+        self._ways = None
+        self._resident = _NO_LINES
 
     def reset(self) -> None:
         """Invalidate all lines and zero the counters."""

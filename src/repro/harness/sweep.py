@@ -251,6 +251,16 @@ def _decode_result_entry(blob: bytes) -> dict:
 #: decoded (``CacheBackendError`` is an ``OSError``): all of it is a miss.
 _CORRUPT = (OSError, ValueError, KeyError, TypeError, zipfile.BadZipFile)
 
+#: Why a cache read was served as a miss or a write dropped: an entry
+#: that does not decode, or an unreachable or failing store.
+DEGRADED_REASONS = ("corrupt", "backend")
+
+
+def _degraded_counter():
+    return default_registry().counter(
+        "sweep_cache_degraded_total",
+        "Cache reads served as a miss and writes dropped, by reason")
+
 
 def _encode_artifacts(artifacts) -> bytes:
     """Serialise :class:`~repro.harness.artifacts.CellArtifacts` to npz.
@@ -337,11 +347,9 @@ class SweepCache:
 
     def _degraded(self, op: str, reason: str) -> None:
         """Count one read or write that fell back to a miss or a no-op."""
-        default_registry().counter(
-            "sweep_cache_degraded_total",
-            "Cache reads served as a miss and writes dropped, by reason",
-        ).inc(backend="local" if isinstance(self.backend, LocalCacheBackend)
-              else "remote", op=op, reason=reason)
+        _degraded_counter().inc(
+            backend="local" if isinstance(self.backend, LocalCacheBackend)
+            else "remote", op=op, reason=reason)
 
     # ------------------------------------------------------------------
     def _local_path(self, kind: str, key: str) -> Path:
@@ -615,6 +623,7 @@ def run_sweep(
     jobs = max(1, jobs if jobs is not None else (os.cpu_count() or 1))
 
     start = time.perf_counter()
+    degraded_before = _degraded_counter().totals_by("reason")
     if runlog is not None:
         runlog.write("sweep_start", cells=len(configs), jobs=jobs,
                      cache_dir=str(cache.root) if cache else None,
@@ -677,7 +686,11 @@ def run_sweep(
         jobs=jobs,
     )
     if runlog is not None:
+        degraded = _degraded_counter().totals_by("reason")
         runlog.write("sweep_complete", cells=outcome.cells,
                      computed=outcome.computed, cached=outcome.cached,
-                     wall_s=wall_s)
+                     wall_s=wall_s, cache_degraded={
+                         reason: int(degraded.get(reason, 0)
+                                     - degraded_before.get(reason, 0))
+                         for reason in DEGRADED_REASONS})
     return outcome

@@ -116,6 +116,15 @@ class Counter(MetricFamily):
         """Sum across every label set."""
         return sum(self._values.values())
 
+    def totals_by(self, label: str) -> dict[str, float]:
+        """Counts summed per value of ``label``, over every other label."""
+        totals: dict[str, float] = {}
+        for key, value in self._values.items():
+            name = dict(key).get(label)
+            if name is not None:
+                totals[name] = totals.get(name, 0.0) + value
+        return totals
+
     def _series(self):
         for key, value in self._values.items():
             yield key, [f"{self.name}{_format_labels(key)} {_format_value(value)}"]

@@ -29,6 +29,7 @@ from repro.cache import (
     batch_mode,
     scalar_mode,
 )
+from repro.cache import setassoc
 from repro.cache.batch import ENV_VAR, as_addresses
 
 SLOW = settings(max_examples=40, deadline=None,
@@ -112,6 +113,140 @@ def test_setassoc_scalar_and_batch_interleave(cache, chunks):
                 other.access_many(chunk)
     assert _stats_tuple(other.stats) == _stats_tuple(cache.stats)
     assert [list(s) for s in other._sets] == [list(s) for s in cache._sets]
+
+
+def _geometry_cache(sets: int, ways: int, line: int) -> SetAssociativeCache:
+    return SetAssociativeCache(sets * ways * line, line_bytes=line,
+                               associativity=ways)
+
+
+def geometry_caches():
+    """One-set, 12-way and 16-way caches next to the small common shapes."""
+    return st.builds(_geometry_cache, sets=st.sampled_from([1, 2, 8]),
+                     ways=st.sampled_from([1, 2, 3, 4, 12, 16]),
+                     line=st.sampled_from([32, 64]))
+
+
+@st.composite
+def lookback_traces(draw, cache: SetAssociativeCache):
+    """Fewer hot lines than ways, with cold lines reused after long stretches.
+
+    Every line maps to one set, so a cold line's reuse window holds many
+    positions but few distinct lines: the replay has to look far back
+    to tell hit from miss.
+    """
+    ways, sets, line = cache.associativity, cache.n_sets, cache.line_bytes
+    set_index = draw(st.integers(0, sets - 1))
+    hot = draw(st.integers(1, max(1, ways - 1)))
+    cold = draw(st.integers(1, ways + 2))
+    segments = draw(st.lists(
+        st.tuples(st.integers(0, cold - 1), st.integers(ways, 4 * ways + 40)),
+        min_size=1, max_size=12))
+    ids = []
+    for c, length in segments:
+        ids.append(hot + c)
+        ids.extend(i % hot for i in range(length))
+    return [(i * sets + set_index) * line for i in ids]
+
+
+def _assert_batch_equals_oracle(cache, chunks, batch_chunks) -> list[bool]:
+    """Replay ``chunks`` through an oracle and a clone; batch where asked.
+
+    Returns the last chunk's hit outcomes.
+    """
+    other = _clone(cache)
+    got: list[bool] = []
+    for i, chunk in enumerate(chunks):
+        with scalar_mode():
+            want = [cache.access(a) for a in chunk]
+        if i in batch_chunks:
+            got = other.access_batch(np.asarray(chunk, dtype=np.int64)).tolist()
+        else:
+            got = [other.access(a) for a in chunk]
+        assert got == want
+        assert _stats_tuple(other.stats) == _stats_tuple(cache.stats)
+        assert [list(s) for s in other._sets] == [list(s) for s in cache._sets]
+    return got
+
+
+@SLOW
+@given(cache=geometry_caches(), data=st.data())
+def test_setassoc_prepopulated_interleaved_matches_oracle(cache, data):
+    """Batch calls on warm state left by scalar calls, and vice versa."""
+    span = 4 * cache.n_sets * cache.associativity * cache.line_bytes
+    chunks = data.draw(st.lists(traces(max_address=span, max_len=80),
+                                min_size=2, max_size=6))
+    batch_chunks = data.draw(st.sets(st.integers(1, len(chunks) - 1)))
+    _assert_batch_equals_oracle(cache, chunks, batch_chunks)
+
+
+@SLOW
+@given(cache=geometry_caches(), data=st.data())
+def test_setassoc_lookback_heavy_matches_oracle(cache, data):
+    chunks = [data.draw(lookback_traces(cache)) for _ in range(2)]
+    _assert_batch_equals_oracle(cache, chunks, {0, 1})
+
+
+@SLOW
+@given(cache=geometry_caches(), data=st.data())
+def test_setassoc_lookback_in_narrow_blocks_matches_oracle(cache, data):
+    """A tiny block budget splits every look-back into many short steps."""
+    chunks = [data.draw(lookback_traces(cache)),
+              data.draw(traces(max_address=1 << 12))]
+    budget = setassoc._LOOKBACK_BUDGET
+    setassoc._LOOKBACK_BUDGET = 3
+    try:
+        _assert_batch_equals_oracle(cache, chunks, {0, 1})
+    finally:
+        setassoc._LOOKBACK_BUDGET = budget
+
+
+@pytest.mark.parametrize("ways", [2, 3, 4, 12, 16])
+@pytest.mark.parametrize("sets", [1, 8])
+def test_setassoc_far_reuse_at_the_associativity_boundary(ways, sets):
+    """A line comes back after many positions holding A-1 or A lines."""
+    for distinct, hit in ((ways - 1, True), (ways, False)):
+        ids = [ways + 1] + list(range(distinct)) * 3 + [ways + 1]
+        trace = [i * sets * 64 for i in ids]
+        hits = _assert_batch_equals_oracle(_geometry_cache(sets, ways, 64),
+                                           [trace], {0})
+        assert hits[-1] is hit
+
+
+def _one_set_adversary(rounds: int, alternations: int) -> np.ndarray:
+    """Cold lines c0-c7, each followed by a hot pair's alternations.
+
+    All in one set of a 16-way cache: each cold line comes back after
+    ``8 * 2 * alternations`` positions that hold only 9 other lines.
+    """
+    sets = 64
+    block = []
+    for cold in range(8):
+        block.append(2 + cold)
+        block.extend([0, 1] * alternations)
+    return np.asarray(block * rounds, dtype=np.int64) * (sets * 64)
+
+
+def test_setassoc_one_set_adversary_matches_oracle():
+    trace = _one_set_adversary(rounds=3, alternations=40)
+    cache = SetAssociativeCache(64 * 16 * 64, line_bytes=64, associativity=16)
+    _assert_batch_equals_oracle(cache, [trace.tolist()], {0})
+    assert cache.stats.misses == 10  # 8 cold + 2 hot, all first uses
+
+
+def test_setassoc_one_set_adversary_wall_bound():
+    trace = _one_set_adversary(rounds=4, alternations=20_000)
+    assert trace.size == 1_280_032
+    cache = SetAssociativeCache(64 * 16 * 64, line_bytes=64, associativity=16)
+    start = time.perf_counter()
+    with batch_mode():
+        misses = cache.access_many(trace)
+    elapsed = time.perf_counter() - start
+    assert misses == 10
+    assert list(cache._sets[0]) == [2, 3, 4, 5, 6, 7, 8, 9, 0, 1]
+    # Generous, like the 1M smoke test below: well under a second on
+    # any plausible host.
+    assert elapsed < 30.0, f"one-set adversary took {elapsed:.1f}s"
 
 
 # ----------------------------------------------------------------------

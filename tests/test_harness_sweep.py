@@ -283,6 +283,24 @@ class TestDegradedCounter:
         assert _degraded(backend="remote", op="read",
                          reason="corrupt") == 0
 
+    def test_sweep_complete_reports_degraded_deltas_per_reason(self, tmp_path):
+        cache = SweepCache(tmp_path)
+        config = RunConfig("fft", "tiny", "i7-6700K", samples=4)
+        run_sweep([config], jobs=1, cache=cache)
+        path = cache.path_for(cell_key(config))
+        path.write_bytes(path.read_bytes()[:100])
+        runlog, buffer = memory_runlog()
+        outcome = run_sweep([config], jobs=1, cache=cache, runlog=runlog)
+        assert outcome.computed == 1
+        records = [json.loads(l) for l in buffer.getvalue().splitlines()]
+        assert records[-1]["event"] == "sweep_complete"
+        assert records[-1]["cache_degraded"] == {"corrupt": 1, "backend": 0}
+        # The rewritten entry reads clean: the next sweep degrades nothing.
+        runlog, buffer = memory_runlog()
+        run_sweep([config], jobs=1, cache=cache, runlog=runlog)
+        last = json.loads(buffer.getvalue().splitlines()[-1])
+        assert last["cache_degraded"] == {"corrupt": 0, "backend": 0}
+
 
 class TestResume:
     def test_resume_after_simulated_crash(self, tmp_path):

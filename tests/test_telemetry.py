@@ -282,6 +282,9 @@ class TestMetrics:
         assert c.value() == 1
         assert c.value(route="/run") == 2
         assert c.total == 3
+        c.inc(4, route="/run", code="500")
+        assert c.totals_by("route") == {"/run": 6}
+        assert c.totals_by("code") == {"500": 4}
         with pytest.raises(ValueError):
             c.inc(-1)
 
