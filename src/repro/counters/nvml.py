@@ -39,15 +39,36 @@ class NvmlSensor:
         p = max(p, 0.0)
         return round(p / RESOLUTION_W) * RESOLUTION_W
 
-    def measure(self, duration_s: float, utilization: float, samples: int = 10) -> float:
-        """Integrate sampled power over a region; returns joules.
+    def measure(self, duration_s: float | np.ndarray, utilization: float,
+                samples: int = 10) -> float | np.ndarray:
+        """Integrate sampled power over one region per duration; joules.
 
-        NVML is polled; we take ``samples`` readings across the region
+        NVML is polled; we take ``samples`` readings across each region
         and integrate with the trapezoid rule, as LibSciBench does.
+
+        ``duration_s`` is a scalar or a 1-D array of region durations.
+        An array draws every reading in one call, row by row in the
+        order a loop over the durations would, so the result and the
+        rng stream position match a loop of :meth:`power_w` readings
+        bit for bit.  A scalar returns a ``float``, an array an array
+        of the same length.
         """
-        if duration_s < 0:
+        times = np.asarray(duration_s, dtype=float)
+        if times.ndim > 1:
+            raise ValueError("durations must be a scalar or a 1-D array")
+        if np.any(times < 0):
             raise ValueError("duration must be non-negative")
+        rows = times.reshape(-1)
+        per_region = samples if samples >= 2 else 1
+        readings = np.full((rows.size, per_region),
+                           mean_power_w(self.spec, utilization))
+        if self.rng is not None:
+            readings += self.rng.uniform(-POWER_ACCURACY_W, POWER_ACCURACY_W,
+                                         size=readings.shape)
+        readings = np.rint(np.maximum(readings, 0.0) / RESOLUTION_W) * RESOLUTION_W
         if samples < 2:
-            return self.power_w(utilization) * duration_s
-        readings = np.array([self.power_w(utilization) for _ in range(samples)])
-        return float(np.trapezoid(readings, dx=duration_s / (samples - 1)))
+            energies = readings[:, 0] * rows
+        else:
+            energies = np.trapezoid(readings, dx=(rows / (samples - 1))[:, None],
+                                    axis=1)
+        return float(energies[0]) if times.ndim == 0 else energies

@@ -51,11 +51,33 @@ class RaplSensor:
         """Read the cumulative counter, quantised to nJ."""
         return round(self._cumulative_j / self.RESOLUTION_J) * self.RESOLUTION_J
 
-    def measure(self, duration_s: float, utilization: float) -> float:
-        """Before/after sampling of one region; returns joules."""
-        before = self.read_j()
-        self.accumulate(duration_s, utilization)
-        return self.read_j() - before
+    def measure(self, duration_s: float | np.ndarray,
+                utilization: float) -> float | np.ndarray:
+        """Before/after sampling of one region per duration; joules.
+
+        ``duration_s`` is a scalar or a 1-D array of back-to-back region
+        durations.  An array draws every region's scatter in one call
+        and accumulates the counter with a sequential cumulative sum,
+        quantising each before/after read to nJ, so the result, the
+        counter and the rng stream position match a loop of
+        :meth:`read_j` / :meth:`accumulate` / :meth:`read_j` bit for
+        bit.  A scalar returns a ``float``, an array an array of the
+        same length.
+        """
+        times = np.asarray(duration_s, dtype=float)
+        if times.ndim > 1:
+            raise ValueError("durations must be a scalar or a 1-D array")
+        if np.any(times < 0):
+            raise ValueError("duration must be non-negative")
+        energies = mean_power_w(self.spec, utilization) * times.reshape(-1)
+        if self.rng is not None:
+            energies *= self.rng.lognormal(0.0, self.PACKAGE_NOISE,
+                                           size=energies.size)
+        cumulative = np.cumsum(np.concatenate(([self._cumulative_j], energies)))
+        self._cumulative_j = float(cumulative[-1])
+        reads = np.rint(cumulative / self.RESOLUTION_J) * self.RESOLUTION_J
+        deltas = np.diff(reads)
+        return float(deltas[0]) if times.ndim == 0 else deltas
 
 
 def requires_superuser() -> bool:

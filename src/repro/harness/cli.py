@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import sys
 from pathlib import Path
 
@@ -325,7 +326,7 @@ def _run_custom(bench, device_name: str, args):
 
     from ..ocl import CommandQueue, Context, find_device
     from ..perfmodel import iteration_time, noisy_samples
-    from .runner import RunResult, _energy_samples
+    from .runner import MIN_LOOP_SECONDS, RunResult, energy_samples
 
     spec = get_device(device_name)
     rng = np.random.default_rng(4321)
@@ -339,10 +340,10 @@ def _run_custom(bench, device_name: str, args):
         finally:
             bench.teardown()
     breakdown = iteration_time(spec, bench.profiles())
-    loop = max(1, int(2.0 / max(breakdown.total_s, 1e-9)))
+    loop = max(1, math.ceil(MIN_LOOP_SECONDS / max(breakdown.total_s, 1e-9)))
     times = noisy_samples(spec, breakdown.total_s, args.samples, rng,
                           loop_iterations=loop)
-    energies = _energy_samples(spec, times, breakdown.utilization, rng)
+    energies = energy_samples(spec, times, breakdown.utilization, rng)
     return RunResult(
         benchmark=bench.name, size="custom", device=spec.name,
         device_class=spec.device_class.value, nominal_s=breakdown.total_s,

@@ -141,19 +141,22 @@ class RunResult:
         return float(self.energies_j.mean())
 
 
-def _energy_samples(
+def energy_samples(
     spec: DeviceSpec,
     times_s: np.ndarray,
     utilization: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Per-sample kernel energy through the appropriate sensor model."""
+    """Per-sample kernel energy through the appropriate sensor model.
+
+    One sensor reads every sample of the cell in a single
+    :meth:`~repro.counters.nvml.NvmlSensor.measure` (NVIDIA) or
+    :meth:`~repro.counters.rapl.RaplSensor.measure` (Intel) call.
+    """
     if spec.vendor == Vendor.NVIDIA:
-        sensor = NvmlSensor(spec, rng=rng)
-        return np.array([sensor.measure(t, utilization) for t in times_s])
+        return NvmlSensor(spec, rng=rng).measure(times_s, utilization)
     if spec.vendor == Vendor.INTEL:
-        sensor = RaplSensor(spec, rng=rng)
-        return np.array([sensor.measure(t, utilization) for t in times_s])
+        return RaplSensor(spec, rng=rng).measure(times_s, utilization)
     # AMD boards had no supported PAPI energy module in the paper;
     # model the same power law directly.
     return mean_power_w(spec, utilization) * times_s
@@ -239,10 +242,8 @@ def run_benchmark(config: RunConfig, runlog: RunLog | None = None,
                 1, math.ceil(config.min_loop_seconds / max(nominal, 1e-9)))
             times = noisy_samples(spec, nominal, config.samples, rng,
                                   loop_iterations=loop_iterations)
-            energies = _energy_samples(spec, times, breakdown.utilization, rng)
-            for t, e in zip(times, energies):
-                recorder.record(REGION_KERNEL, float(t), energy_j=float(e),
-                                sampled=True)
+            energies = energy_samples(spec, times, breakdown.utilization, rng)
+            recorder.record_samples(REGION_KERNEL, times, energies, sampled=True)
 
         # Simulated PAPI counters (paper §4.3), replayed from the
         # memoized per-(benchmark, size) artifacts.  Deterministic and

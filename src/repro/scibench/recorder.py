@@ -15,6 +15,8 @@ import io
 from collections import defaultdict
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .stats import SampleSummary, summarize
 
 #: Canonical region names used across the suite.
@@ -48,6 +50,23 @@ class Recorder:
             raise ValueError(f"negative time {time_s} for region {region!r}")
         self._measurements.append(
             Measurement(region=region, time_s=time_s, energy_j=energy_j, tags=dict(tags))
+        )
+
+    def record_samples(self, region: str, times_s: np.ndarray,
+                       energies_j: np.ndarray, **tags) -> None:
+        """Record one sample per (time, energy) pair, all with ``tags``.
+
+        Appends the same measurements as a loop of :meth:`record`
+        calls, each with its own copy of ``tags``, after one check that
+        no time is negative.
+        """
+        times = np.asarray(times_s, dtype=float)
+        if np.any(times < 0):
+            raise ValueError(f"negative time {times.min()} for region {region!r}")
+        energies = np.asarray(energies_j, dtype=float)
+        self._measurements.extend(
+            Measurement(region=region, time_s=t, energy_j=e, tags=dict(tags))
+            for t, e in zip(times.tolist(), energies.tolist())
         )
 
     def record_event(self, region: str, event) -> None:

@@ -62,6 +62,25 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "kmeans" in out
 
+    @pytest.mark.parametrize("device", ["i7-6700K", "GTX 1080"])
+    def test_custom_run_loops_at_least_two_seconds(self, monkeypatch, capsys,
+                                                  device):
+        """A custom-argument run keeps the §4.3 per-sample loop rule."""
+        import repro.harness.cli as cli
+        from repro.harness.runner import MIN_LOOP_SECONDS
+
+        results = []
+        monkeypatch.setattr(cli, "_print_result", results.append)
+        rc = main(["run", "fft", "--device", device, "--samples", "5",
+                   "--no-execute", "--", "4096"])
+        assert rc == 0
+        (result,) = results
+        assert result.size == "custom"
+        assert result.loop_iterations * result.nominal_s >= MIN_LOOP_SECONDS
+        assert (result.loop_iterations - 1) * result.nominal_s < MIN_LOOP_SECONDS
+        assert result.energies_j.shape == (5,)
+        assert (result.energies_j > 0).all()
+
     def test_run_model_only(self, capsys):
         rc = main(["run", "srad", "--size", "large", "--device", "RX 480",
                    "--samples", "5", "--no-execute"])

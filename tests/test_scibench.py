@@ -1,11 +1,15 @@
 """LibSciBench-style stats, timers and recorder."""
 
+import dataclasses
+import json
 import time
 
 import numpy as np
 import pytest
 
 from repro import ocl
+from repro.harness.runner import RunConfig, run_benchmark
+from repro.harness.sweep import result_to_payload
 from repro.scibench import (
     DeviceClock,
     REGION_KERNEL,
@@ -188,4 +192,47 @@ class TestRecorder:
         rec = Recorder()
         rec.record(REGION_KERNEL, 1.0)
         rec.clear()
+        assert len(rec) == 0
+
+
+class TestRecordSamples:
+    """``record_samples`` is one call for what a loop of ``record`` did."""
+
+    @pytest.fixture(params=["GTX 1080", "i7-6700K", "R9 290X"])
+    def result(self, request):
+        return run_benchmark(RunConfig("fft", "tiny", request.param, samples=12,
+                                       execute=False))
+
+    @staticmethod
+    def _record_loop(result):
+        rec = Recorder(result.recorder.name)
+        for t, e in zip(result.times_s, result.energies_j):
+            rec.record(REGION_KERNEL, float(t), energy_j=float(e), sampled=True)
+        return rec
+
+    def test_same_as_record_loop(self, result):
+        batch, loop = result.recorder, self._record_loop(result)
+        assert batch._measurements == loop._measurements
+        for m in batch._measurements:
+            assert type(m.time_s) is float and type(m.energy_j) is float
+        assert batch.to_csv() == loop.to_csv()
+        looped = dataclasses.replace(result, recorder=loop)
+        assert (json.dumps(result_to_payload(result)["recorder"])
+                == json.dumps(result_to_payload(looped)["recorder"]))
+
+    def test_each_measurement_owns_its_tags(self):
+        rec = Recorder()
+        rec.record_samples(REGION_KERNEL, np.array([1.0, 2.0]),
+                           np.array([3.0, 4.0]), sampled=True)
+        first, second = rec._measurements
+        assert first.tags == second.tags == {"sampled": True}
+        assert first.tags is not second.tags
+        first.tags["extra"] = 1
+        assert second.tags == {"sampled": True}
+
+    def test_negative_time_rejected(self):
+        rec = Recorder()
+        with pytest.raises(ValueError):
+            rec.record_samples(REGION_KERNEL, np.array([1.0, -1e-9, 2.0]),
+                               np.array([1.0, 1.0, 1.0]))
         assert len(rec) == 0

@@ -3,6 +3,7 @@
 import asyncio
 import contextlib
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -41,14 +42,19 @@ def service_running(**kwargs):
 
         asyncio.run(main())
 
-    thread = threading.Thread(target=runner, daemon=True)
+    thread = threading.Thread(target=runner, name="service_running", daemon=True)
     thread.start()
     assert started.wait(timeout=60), "service did not start"
     try:
         yield holder["service"]
     finally:
-        holder["loop"].call_soon_threadsafe(
-            holder["service"].request_shutdown)
+        # A client-sent shutdown may already have drained the server and
+        # closed its loop; the loop can also close between the check and
+        # the call.
+        loop = holder["loop"]
+        if not loop.is_closed():
+            with contextlib.suppress(RuntimeError):
+                loop.call_soon_threadsafe(holder["service"].request_shutdown)
         thread.join(timeout=60)
         assert not thread.is_alive(), "service did not drain"
 
@@ -225,3 +231,13 @@ class TestShutdown:
             with ServiceClient("127.0.0.1", service.port) as client:
                 assert client.shutdown()["type"] == "bye"
         # the context manager asserts the thread exited cleanly
+
+    def test_leaving_after_the_loop_closed(self):
+        """The fixture exits cleanly when a client shutdown closed the loop."""
+        with service_running(jobs=1) as service:
+            with ServiceClient("127.0.0.1", service.port) as client:
+                assert client.shutdown()["type"] == "bye"
+            deadline = time.monotonic() + 60
+            while any(t.name == "service_running" for t in threading.enumerate()):
+                assert time.monotonic() < deadline, "service did not drain"
+                time.sleep(0.01)
