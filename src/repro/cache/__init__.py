@@ -4,7 +4,6 @@ These substrates stand in for the PAPI hardware counters the paper
 uses to verify its problem-size selection (DESIGN.md §2).
 """
 
-from .batch import batch_enabled, batch_mode, scalar_mode
 from .branch import BranchPredictor
 from .hierarchy import CacheHierarchy
 from .prefetch import PrefetchStats, StreamPrefetcher
@@ -20,8 +19,5 @@ __all__ = [
     "CacheStats",
     "SetAssociativeCache",
     "TLB",
-    "batch_enabled",
-    "batch_mode",
-    "scalar_mode",
     "trace",
 ]

@@ -4,15 +4,15 @@ Provides the ``PAPI_BR_INS`` / ``PAPI_BR_MSP`` counters of the paper's
 verification set.  A classic bimodal predictor: a table of 2-bit
 saturating counters indexed by (hashed) branch PC.
 
-``run_trace`` has a vectorized path (see :mod:`repro.cache.batch`)
-that groups the trace by table slot and run-length-encodes each
-slot's outcome stream: a run of ``L`` taken branches starting from
-counter ``c`` mispredicts exactly ``clamp(2 - c, 0, L)`` times and
-leaves the counter at ``min(3, c + L)`` (symmetrically for
+``run_trace`` groups the trace by table slot and run-length-encodes
+each slot's outcome stream: a run of ``L`` taken branches starting
+from counter ``c`` mispredicts exactly ``clamp(2 - c, 0, L)`` times
+and leaves the counter at ``min(3, c + L)`` (symmetrically for
 not-taken), so each run costs O(1) instead of O(L).  Slots are
-independent and per-slot order is preserved, so the batch result is
-bit-exact against the scalar :meth:`BranchPredictor.predict_and_update`
-oracle.
+independent and per-slot order is preserved, so the result is
+bit-exact against the per-address
+:meth:`BranchPredictor.predict_and_update` oracle
+(``tests/test_cache_batch.py``).
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from typing import Iterable
 import numpy as np
 
 from ..telemetry.tracer import get_tracer
-from .batch import batch_enabled
 
 # 2-bit counter states: 0,1 predict not-taken; 2,3 predict taken.
 _WEAK_NOT_TAKEN = 1
@@ -66,15 +65,11 @@ class BranchPredictor:
         with get_tracer().span("branch_trace", phase="cache_sim") as sp:
             sp.set_attribute("branches", int(pcs.size))
             before = self.mispredictions
-            if batch_enabled():
-                self._run_batch(pcs.ravel(), outcomes.ravel())
-            else:
-                for pc, taken in zip(pcs.tolist(), outcomes.tolist()):
-                    self.predict_and_update(pc, taken)
+            self._run_batch(pcs.ravel(), outcomes.ravel())
             return self.mispredictions - before
 
     def _run_batch(self, pcs: np.ndarray, outcomes: np.ndarray) -> None:
-        """Grouped run-length replay; exact against the scalar oracle."""
+        """Grouped run-length replay; exact against ``predict_and_update``."""
         n = int(pcs.size)
         if n == 0:
             return

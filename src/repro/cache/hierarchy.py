@@ -5,6 +5,10 @@ platforms do (L1 -> L2 -> L3 -> memory): an access probes levels
 inward-out, allocating in every level it missed (inclusive fill).
 Per-level counters map onto the PAPI events the paper collects
 (``PAPI_L1_DCM``, ``PAPI_L2_DCM``, ``PAPI_L3_TCM``).
+
+``access_many`` replays a whole trace one level at a time.  The
+per-address :meth:`CacheHierarchy.access` is its oracle, and the walk
+the stream prefetcher makes once per access.
 """
 
 from __future__ import annotations
@@ -15,8 +19,7 @@ import numpy as np
 
 from ..devices.specs import DeviceSpec
 from ..telemetry.tracer import get_tracer
-from .batch import as_addresses
-from .setassoc import SetAssociativeCache
+from .setassoc import SetAssociativeCache, as_addresses
 
 
 def level_geometries(spec: DeviceSpec) -> tuple[tuple[int, int, int], ...]:
@@ -77,12 +80,11 @@ class CacheHierarchy:
         """Feed a whole trace; return the addresses that missed every level.
 
         Level-filtered miss propagation: each level replays its input
-        stream through :meth:`SetAssociativeCache.filter_misses` (batch
-        or scalar, per :mod:`repro.cache.batch`), and L2 only sees L1's
-        miss subset, in original order.  Each level's state depends
-        only on its own input stream, and that stream is identical to
-        the one the per-address :meth:`access` walk feeds it, so the
-        result is bit-exact against that walk.
+        stream through :meth:`SetAssociativeCache.filter_misses`, and L2
+        only sees L1's miss subset, in original order.  Each level's
+        state depends only on its own input stream, and that stream is
+        identical to the one the per-address :meth:`access` walk feeds
+        it, so the result is bit-exact against that walk.
         """
         with get_tracer().span("cache_sim_trace", phase="cache_sim") as sp:
             pending = as_addresses(addresses)

@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .batch import as_addresses, batch_enabled
 from .hierarchy import CacheHierarchy
+from .setassoc import as_addresses
 
 
 @dataclass
@@ -142,19 +142,14 @@ class StreamPrefetcher:
         sequential: each access both *reads* hierarchy state (was the
         line prefetched? did the demand hit?) and *writes* it (issues
         prefetches whose targets depend on the just-updated stream
-        trackers).  The batch path therefore only vectorizes the
-        address→line decomposition and localizes the per-access loop;
-        results are trivially identical to the scalar walk.
+        trackers).  Only the address→line decomposition is vectorized;
+        each access then walks :meth:`CacheHierarchy.access`.
         """
-        if batch_enabled():
-            arr = as_addresses(addresses)
-            access_line = self._access_line
-            for address, line in zip(arr.tolist(),
-                                     (arr // self.line_bytes).tolist()):
-                access_line(address, line)
-        else:
-            for a in addresses:
-                self.access(int(a))
+        arr = as_addresses(addresses)
+        access_line = self._access_line
+        for address, line in zip(arr.tolist(),
+                                 (arr // self.line_bytes).tolist()):
+            access_line(address, line)
 
     def reset(self) -> None:
         self.hierarchy.reset()

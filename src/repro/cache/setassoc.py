@@ -6,16 +6,22 @@ tags in LRU order.  Used by the problem-size verifier to reproduce the
 paper's PAPI-counter methodology: miss rates jump when a benchmark's
 working set no longer fits a level.
 
-Two trace entry points share one LRU state: the scalar
-:meth:`SetAssociativeCache.access` oracle and the vectorized
-:meth:`SetAssociativeCache.access_batch` used by ``access_many`` when
-batch simulation is enabled (see :mod:`repro.cache.batch` and
-``docs/performance.md``).  The batch path has no per-set or per-access
-Python loop: :func:`lru_replay` decides every hit from next-use
-distances over whole arrays, and is bit-exact against the oracle in
-hit outcomes and in each set's final LRU order.  The state is held as
-per-set dicts once the scalar path reads it, and as one array of
-resident lines after a batch call.
+Traces run through :meth:`SetAssociativeCache.access_batch` (behind
+``access_many`` and ``filter_misses``), which has no per-set or
+per-access Python loop: :func:`lru_replay` decides every hit from
+next-use distances over whole arrays.  The per-address
+:meth:`SetAssociativeCache.access` is the oracle it is tested against
+(``tests/test_cache_batch.py``): bit-exact in hit outcomes and in each
+set's final LRU order.  Both share one LRU state, held as per-set
+dicts once ``access`` reads it and as one array of resident lines
+after a batch call.
+
+The per-set dicts (``_sets``) have one non-test caller in ``src/``:
+:class:`~repro.cache.prefetch.StreamPrefetcher` walks
+:meth:`CacheHierarchy.access <repro.cache.hierarchy.CacheHierarchy.access>`,
+hence ``access``, once per demand access and prefetch.
+:meth:`~SetAssociativeCache.contains` and
+:attr:`~SetAssociativeCache.lines_resident` have none.
 """
 
 from __future__ import annotations
@@ -25,7 +31,20 @@ from typing import Iterable
 
 import numpy as np
 
-from .batch import as_addresses, batch_enabled
+
+def as_addresses(addresses: Iterable[int] | np.ndarray) -> np.ndarray:
+    """Coerce any address iterable to a 1-D int64 numpy array.
+
+    Accepts ndarrays (cast without copy when already int64), ranges,
+    lists, tuples and generators.
+    """
+    if isinstance(addresses, np.ndarray):
+        arr = addresses.astype(np.int64, copy=False)
+    else:
+        arr = np.fromiter((int(a) for a in addresses), dtype=np.int64) \
+            if not isinstance(addresses, (list, tuple, range)) \
+            else np.asarray(addresses, dtype=np.int64)
+    return np.ravel(arr)
 
 
 def _is_pow2(x: int) -> bool:
@@ -225,7 +244,7 @@ class SetAssociativeCache:
         self._set_bits = n_sets.bit_length() - 1
         self._index_mask = n_sets - 1
         # The LRU state lives in one of two forms: per-set dicts (see
-        # ``_sets``) once the scalar path has read them, otherwise the
+        # ``_sets``) once ``access`` has read them, otherwise the
         # resident line numbers as left by the last batch call.
         self._ways: list[dict[int, None]] | None = None
         self._resident = _NO_LINES
@@ -267,22 +286,16 @@ class SetAssociativeCache:
         stream of the next level out, which is how
         :meth:`CacheHierarchy.access_many
         <repro.cache.hierarchy.CacheHierarchy.access_many>` and the
-        per-geometry counter replay chain levels.  Honours
-        ``REPRO_SIM_BATCH``: the scalar oracle walks :meth:`access` per
-        address, the batch path runs :meth:`access_batch`.
+        per-geometry counter replay chain levels.
         """
-        if batch_enabled():
-            return addresses[~self.access_batch(addresses)]
-        access = self.access
-        return np.asarray([a for a in addresses.tolist() if not access(a)],
-                          dtype=np.int64)
+        return addresses[~self.access_batch(addresses)]
 
     # ------------------------------------------------------------------
     def access_batch(self, addresses: np.ndarray) -> np.ndarray:
         """Access a whole int64 address array; returns the hit mask.
 
-        Bit-exact against a scalar :meth:`access` loop.  The resident
-        lines, LRU to MRU per set, are replayed first as if just
+        Bit-exact against an :meth:`access` loop, the oracle.  The
+        resident lines, LRU to MRU per set, are replayed first as if just
         accessed (which rebuilds exactly the current state), then the
         whole stream goes through :func:`lru_replay` in one vectorized
         pass.  The new state stays in array form until something reads

@@ -5,8 +5,8 @@ one of its verification counters (§4.3).  We model a single-level,
 fully-associative, LRU data TLB — adequate for the page-locality
 question the counter answers.
 
-``access_many`` has a vectorized path (see :mod:`repro.cache.batch`)
-that is bit-exact against the scalar :meth:`TLB.access` oracle: when
+``access_many`` is vectorized and bit-exact against the per-address
+:meth:`TLB.access` oracle (``tests/test_cache_batch.py``): when
 the pages a trace touches plus the already-resident set provably fit
 the TLB, no eviction can occur, so the hit/miss outcome of every
 access and the final recency order are computed in closed form from
@@ -22,8 +22,7 @@ from typing import Iterable
 import numpy as np
 
 from ..telemetry.tracer import get_tracer
-from .batch import as_addresses, batch_enabled
-from .setassoc import CacheStats
+from .setassoc import CacheStats, as_addresses
 
 
 class TLB:
@@ -61,21 +60,15 @@ class TLB:
         """Translate a trace; returns misses added."""
         with get_tracer().span("tlb_trace", phase="cache_sim") as sp:
             before = self.stats.misses
-            if batch_enabled():
-                arr = as_addresses(addresses)
-                count = int(arr.size)
-                if count:
-                    self._translate_batch(arr >> self._shift)
-            else:
-                count = 0
-                for a in addresses:
-                    self.access(a)
-                    count += 1
+            arr = as_addresses(addresses)
+            count = int(arr.size)
+            if count:
+                self._translate_batch(arr >> self._shift)
             sp.set_attribute("accesses", count)
             return self.stats.misses - before
 
     def _translate_batch(self, pages: np.ndarray) -> None:
-        """Replay a page trace; exact against the scalar oracle."""
+        """Replay a page trace; exact against the :meth:`access` oracle."""
         n = int(pages.size)
         resident = self._pages
         # Last-occurrence order of the touched pages: unique over the

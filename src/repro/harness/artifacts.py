@@ -232,9 +232,8 @@ def simulate_cell_counters(spec: DeviceSpec,
     (``tests/test_harness_artifacts.py``).  Deterministic (no RNG),
     and every value is a Python ``int``.
     """
-    from ..cache.batch import as_addresses
     from ..cache.hierarchy import CacheHierarchy, level_geometries
-    from ..cache.setassoc import SetAssociativeCache
+    from ..cache.setassoc import SetAssociativeCache, as_addresses
     from ..sizing.verify import scaled_spec
 
     replay = _replay_for(artifacts)

@@ -119,9 +119,30 @@ def achieved_power(
     return float(sps.norm.cdf(shift - z_alpha))
 
 
+def _sample_var(x: np.ndarray) -> float:
+    """Unbiased sample variance, exactly 0.0 when all samples are equal.
+
+    numpy subtracts a rounded mean, so a constant group (say, one
+    rescaled by an inexact factor) can come out with a variance near
+    1e-22 and turn an infinite or undefined statistic into a finite one.
+    """
+    return 0.0 if np.ptp(x) == 0 else float(x.var(ddof=1))
+
+
 def welch_t_test(a, b) -> tuple[float, float]:
-    """Welch's t-test between two groups; returns (t statistic, p value)."""
-    result = sps.ttest_ind(np.asarray(a, float), np.asarray(b, float), equal_var=False)
+    """Welch's t-test between two groups; returns (t statistic, p value).
+
+    Two constant groups give scipy's zero-variance answer whatever the
+    rounding of their means: ``(nan, nan)`` when equal, ``(±inf, 0.0)``
+    with the sign of ``mean(a) - mean(b)`` when not.
+    """
+    x, y = np.asarray(a, float), np.asarray(b, float)
+    if x.size > 1 and y.size > 1 and _sample_var(x) == _sample_var(y) == 0.0:
+        shift = float(x[0] - y[0])
+        if shift == 0.0:
+            return math.nan, math.nan
+        return math.copysign(math.inf, shift), 0.0
+    result = sps.ttest_ind(x, y, equal_var=False)
     return float(result.statistic), float(result.pvalue)
 
 
@@ -158,8 +179,8 @@ def cohens_d(a, b) -> float:
     if x.size < 2 or y.size < 2:
         raise ValueError("cohens_d needs at least 2 samples per group")
     shift = float(y.mean() - x.mean())
-    var_x = float(x.var(ddof=1))
-    var_y = float(y.var(ddof=1))
+    var_x = _sample_var(x)
+    var_y = _sample_var(y)
     pooled = math.sqrt(
         ((x.size - 1) * var_x + (y.size - 1) * var_y)
         / (x.size + y.size - 2)

@@ -35,8 +35,13 @@ for the ``sweep_cells_*`` counters and ``cell_*`` run-log records.  On
 top of that the engine maintains the service instruments —
 ``service_queue_depth`` / ``service_jobs_inflight`` gauges,
 ``service_requests_total`` / ``service_dedup_hits_total`` /
-``service_cache_hits_total`` counters and the
-``service_cell_latency_seconds`` histogram.
+``service_cache_hits_total`` / ``service_worker_restarts_total``
+counters and the ``service_cell_latency_seconds`` histogram.
+
+A worker that dies mid-cell (OOM-killed, say) breaks the whole
+process pool: the job it held fails, and the engine swaps in a fresh
+pool once per breakage so later jobs compute again without a server
+restart.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ from __future__ import annotations
 import asyncio
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 from ..harness.runner import DEFAULT_SAMPLES, RunConfig
@@ -182,6 +188,9 @@ class ServiceEngine:
         self._cache_hits = reg.counter(
             "service_cache_hits_total",
             "Served jobs resolved from the result cache")
+        self._worker_restarts = reg.counter(
+            "service_worker_restarts_total",
+            "Process pools replaced after a worker died")
         self._queue_depth = reg.gauge(
             "service_queue_depth", "Jobs waiting for a worker slot")
         self._inflight = reg.gauge(
@@ -402,9 +411,14 @@ class ServiceEngine:
                     with tracer.span("service_job", **attrs, cached=True):
                         pass
                 else:
-                    reply = await loop.run_in_executor(
-                        self._pool, _compute_cell, config,
-                        tracer.propagation_context())
+                    pool = self._pool
+                    try:
+                        reply = await loop.run_in_executor(
+                            pool, _compute_cell, config,
+                            tracer.propagation_context())
+                    except BrokenProcessPool:
+                        self._replace_pool(pool)
+                        raise
                     # back on the loop thread: adopt opens, grafts and
                     # closes the job span with no await in between (the
                     # loop thread's span stack is shared across tasks)
@@ -429,6 +443,19 @@ class ServiceEngine:
         finally:
             self._slots.release()
             self._wakeup.set()
+
+    def _replace_pool(self, broken: ProcessPoolExecutor) -> None:
+        """Swap a fresh pool in for ``broken``, once per breakage.
+
+        Every job in flight on a broken pool fails with
+        :class:`BrokenProcessPool`; only the first to get here finds
+        ``broken`` still installed and replaces it.
+        """
+        if self._pool is not broken:
+            return
+        broken.shutdown(wait=False, cancel_futures=True)
+        self._pool = ProcessPoolExecutor(max_workers=self.jobs)
+        self._worker_restarts.inc()
 
     def _finish(self, job: Job, payload: dict, cached: bool) -> None:
         job.state = DONE

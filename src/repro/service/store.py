@@ -29,8 +29,10 @@ path.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import socket
+import threading
 from pathlib import Path
 from typing import Iterator, Protocol, runtime_checkable
 
@@ -108,11 +110,12 @@ class LocalCacheBackend:
 
     Writes are atomic: parent directories are created race-tolerantly
     (``exist_ok=True`` — two processes sharing a store may shard
-    concurrently), the blob lands in a temp file, and ``os.replace``
-    publishes it.  A reader can therefore never observe a torn entry
-    under this backend; torn *content* (e.g. a file truncated by a
-    crashed legacy writer or a full disk) is the decoder's to treat as
-    a miss.
+    concurrently), the blob lands in a temp file named for its writer
+    (pid and thread id, next to the entry, so concurrent writers of one
+    key never share one), and ``os.replace`` publishes it.  A reader
+    can therefore never observe a torn entry under this backend; torn
+    *content* (e.g. a file truncated by a crashed legacy writer or a
+    full disk) is the decoder's to treat as a miss.
     """
 
     def __init__(self, root: str | Path):
@@ -147,12 +150,17 @@ class LocalCacheBackend:
 
     def write(self, kind: str, key: str, blob: bytes) -> None:
         path = self.path_for(kind, key)
+        # One temp file per writer: two threads or processes putting the
+        # same key must never write into one file.
+        tmp = path.with_name(
+            f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(".tmp")
             tmp.write_bytes(blob)
             os.replace(tmp, path)
         except OSError as exc:
+            with contextlib.suppress(OSError):
+                tmp.unlink(missing_ok=True)
             raise CacheBackendError(
                 f"cannot write cache entry {path}: {exc}") from exc
 

@@ -1,11 +1,12 @@
-"""Batch-vs-scalar equivalence for the vectorized simulators.
+"""Batch-vs-oracle equivalence for the vectorized simulators.
 
-Every model in :mod:`repro.cache` keeps its original per-address loop
-as the scalar oracle (``REPRO_SIM_BATCH=0``) next to the numpy batch
-path used by default.  These property tests drive random traces
-through both and require *bit-exact* agreement — outcomes, counters,
-and the internal LRU/counter state — plus a perf smoke test pinning
-the batch path's headroom on a 1M-address trace.
+Every model in :mod:`repro.cache` has one trace entry point, a numpy
+batch path, and keeps its per-address method (``access`` /
+``predict_and_update``) as the oracle.  These property tests drive
+random traces through the batch path and through an explicit loop
+over the oracle and require *bit-exact* agreement — outcomes,
+counters, and the internal LRU/counter state — plus a perf smoke test
+pinning the batch path's headroom on a 1M-address trace.
 """
 
 from __future__ import annotations
@@ -25,12 +26,9 @@ from repro.cache import (
     SetAssociativeCache,
     StreamPrefetcher,
     TLB,
-    batch_enabled,
-    batch_mode,
-    scalar_mode,
 )
 from repro.cache import setassoc
-from repro.cache.batch import ENV_VAR, as_addresses
+from repro.cache.setassoc import as_addresses
 
 SLOW = settings(max_examples=40, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -65,6 +63,19 @@ def _stats_tuple(stats: CacheStats) -> tuple[int, int, int]:
     return (stats.accesses, stats.hits, stats.misses)
 
 
+def _oracle_hits(model, trace) -> list[bool]:
+    """Walk a trace through ``model.access`` one address at a time."""
+    return [model.access(a) for a in trace]
+
+
+def _oracle_branches(predictor: BranchPredictor, pcs, outcomes) -> int:
+    """Walk a branch trace through ``predict_and_update``; new mispredictions."""
+    before = predictor.mispredictions
+    for pc, taken in zip(pcs, outcomes):
+        predictor.predict_and_update(pc, taken)
+    return predictor.mispredictions - before
+
+
 # ----------------------------------------------------------------------
 # SetAssociativeCache
 # ----------------------------------------------------------------------
@@ -72,12 +83,10 @@ def _stats_tuple(stats: CacheStats) -> tuple[int, int, int]:
 @given(cache=small_caches(), trace=traces())
 def test_setassoc_batch_matches_scalar(cache, trace):
     other = _clone(cache)
-    with scalar_mode():
-        scalar_hits = [cache.access(a) for a in trace]
-        scalar_misses = len(trace) - sum(scalar_hits)
-    with batch_mode():
-        batch_misses = other.access_many(trace)
-        batch_hits = other.access_batch(np.asarray([], dtype=np.int64))
+    scalar_hits = _oracle_hits(cache, trace)
+    scalar_misses = len(trace) - sum(scalar_hits)
+    batch_misses = other.access_many(trace)
+    batch_hits = other.access_batch(np.asarray([], dtype=np.int64))
     assert batch_misses == scalar_misses
     assert batch_hits.size == 0
     assert _stats_tuple(other.stats) == _stats_tuple(cache.stats)
@@ -89,8 +98,7 @@ def test_setassoc_batch_matches_scalar(cache, trace):
 @given(cache=small_caches(), trace=traces())
 def test_setassoc_hit_mask_matches_oracle(cache, trace):
     other = _clone(cache)
-    with scalar_mode():
-        scalar_hits = [cache.access(a) for a in trace]
+    scalar_hits = _oracle_hits(cache, trace)
     mask = other.access_batch(np.asarray(trace, dtype=np.int64))
     assert mask.tolist() == scalar_hits
 
@@ -102,15 +110,11 @@ def test_setassoc_scalar_and_batch_interleave(cache, chunks):
     """Both paths share the canonical state, so calls may alternate."""
     other = _clone(cache)
     for i, chunk in enumerate(chunks):
+        _oracle_hits(cache, chunk)
         if i % 2:
-            with scalar_mode():
-                cache.access_many(chunk)
-                other.access_many(chunk)
+            _oracle_hits(other, chunk)
         else:
-            with scalar_mode():
-                cache.access_many(chunk)
-            with batch_mode():
-                other.access_many(chunk)
+            other.access_many(chunk)
     assert _stats_tuple(other.stats) == _stats_tuple(cache.stats)
     assert [list(s) for s in other._sets] == [list(s) for s in cache._sets]
 
@@ -157,12 +161,11 @@ def _assert_batch_equals_oracle(cache, chunks, batch_chunks) -> list[bool]:
     other = _clone(cache)
     got: list[bool] = []
     for i, chunk in enumerate(chunks):
-        with scalar_mode():
-            want = [cache.access(a) for a in chunk]
+        want = _oracle_hits(cache, chunk)
         if i in batch_chunks:
             got = other.access_batch(np.asarray(chunk, dtype=np.int64)).tolist()
         else:
-            got = [other.access(a) for a in chunk]
+            got = _oracle_hits(other, chunk)
         assert got == want
         assert _stats_tuple(other.stats) == _stats_tuple(cache.stats)
         assert [list(s) for s in other._sets] == [list(s) for s in cache._sets]
@@ -239,8 +242,7 @@ def test_setassoc_one_set_adversary_wall_bound():
     assert trace.size == 1_280_032
     cache = SetAssociativeCache(64 * 16 * 64, line_bytes=64, associativity=16)
     start = time.perf_counter()
-    with batch_mode():
-        misses = cache.access_many(trace)
+    misses = cache.access_many(trace)
     elapsed = time.perf_counter() - start
     assert misses == 10
     assert list(cache._sets[0]) == [2, 3, 4, 5, 6, 7, 8, 9, 0, 1]
@@ -263,12 +265,14 @@ def _small_hierarchy() -> CacheHierarchy:
 @SLOW
 @given(trace=traces(max_address=1 << 15))
 def test_hierarchy_batch_matches_scalar(trace):
+    """The level walk against each level's ``access`` over its input."""
     ref, vec = _small_hierarchy(), _small_hierarchy()
-    with scalar_mode():
-        ref.access_many(trace)
-    with batch_mode():
-        vec.access_many(trace)
-    assert vec.memory_accesses == ref.memory_accesses
+    pending = list(trace)
+    for cache in ref.levels:
+        pending = [a for a, hit in zip(pending, _oracle_hits(cache, pending))
+                   if not hit]
+    assert vec.access_many(trace).tolist() == pending
+    assert vec.memory_accesses == len(pending)
     assert vec.miss_counts() == ref.miss_counts()
     for lr, lv in zip(ref.levels, vec.levels):
         assert _stats_tuple(lv.stats) == _stats_tuple(lr.stats)
@@ -280,20 +284,18 @@ def test_hierarchy_batch_matches_scalar(trace):
 def test_hierarchy_level_walk_matches_interleaved_oracle(trace):
     """``access_many`` walks level by level; ``access`` interleaves.
 
-    Both modes of the level walk must leave the same counters and LRU
-    state as the per-address ``access`` walk through all levels.
+    The level walk must leave the same counters and LRU state as the
+    per-address ``access`` walk through all levels.
     """
     oracle = _small_hierarchy()
     for address in trace:
         oracle.access(address)
-    for mode in (scalar_mode, batch_mode):
-        walked = _small_hierarchy()
-        with mode():
-            walked.access_many(trace)
-        assert walked.memory_accesses == oracle.memory_accesses
-        for lo, lw in zip(oracle.levels, walked.levels):
-            assert _stats_tuple(lw.stats) == _stats_tuple(lo.stats)
-            assert [list(s) for s in lw._sets] == [list(s) for s in lo._sets]
+    walked = _small_hierarchy()
+    walked.access_many(trace)
+    assert walked.memory_accesses == oracle.memory_accesses
+    for lo, lw in zip(oracle.levels, walked.levels):
+        assert _stats_tuple(lw.stats) == _stats_tuple(lo.stats)
+        assert [list(s) for s in lw._sets] == [list(s) for s in lo._sets]
 
 
 @SLOW
@@ -302,13 +304,12 @@ def test_filter_misses_returns_the_miss_stream_in_order(cache, trace):
     addresses = as_addresses(trace)
     oracle = _clone(cache)
     expected = [a for a in trace if not oracle.access(a)]
-    for mode in (scalar_mode, batch_mode):
-        replayed = _clone(cache)
-        with mode():
-            misses = replayed.filter_misses(addresses)
-        assert misses.dtype == np.int64
-        assert misses.tolist() == expected
-        assert _stats_tuple(replayed.stats) == _stats_tuple(oracle.stats)
+    replayed = _clone(cache)
+    misses = replayed.filter_misses(addresses)
+    assert misses.dtype == np.int64
+    assert misses.tolist() == expected
+    assert _stats_tuple(replayed.stats) == _stats_tuple(oracle.stats)
+    assert [list(s) for s in replayed._sets] == [list(s) for s in oracle._sets]
 
 
 # ----------------------------------------------------------------------
@@ -319,10 +320,8 @@ def test_filter_misses_returns_the_miss_stream_in_order(cache, trace):
        entries=st.sampled_from([4, 8, 64]))
 def test_tlb_batch_matches_scalar(trace, entries):
     ref, vec = TLB(entries=entries), TLB(entries=entries)
-    with scalar_mode():
-        ref_misses = ref.access_many(trace)
-    with batch_mode():
-        vec_misses = vec.access_many(trace)
+    ref_misses = len(trace) - sum(_oracle_hits(ref, trace))
+    vec_misses = vec.access_many(trace)
     assert vec_misses == ref_misses
     assert _stats_tuple(vec.stats) == _stats_tuple(ref.stats)
     # The final recency (insertion) order must match, not just the set.
@@ -335,10 +334,8 @@ def test_tlb_eviction_fallback_matches_scalar(pages):
     """Page universe >> entries forces the compressed-replay path."""
     trace = [p * 4096 for p in pages]
     ref, vec = TLB(entries=8), TLB(entries=8)
-    with scalar_mode():
-        ref.access_many(trace)
-    with batch_mode():
-        vec.access_many(trace)
+    _oracle_hits(ref, trace)
+    vec.access_many(trace)
     assert _stats_tuple(vec.stats) == _stats_tuple(ref.stats)
     assert list(vec._pages) == list(ref._pages)
 
@@ -348,12 +345,10 @@ def test_tlb_batch_on_warm_state():
     ref, vec = TLB(entries=6), TLB(entries=6)
     warmup = [i * 4096 for i in (0, 1, 2, 3)]
     trace = [i * 4096 for i in (2, 4, 0, 4, 5)]
-    with scalar_mode():
-        ref.access_many(warmup)
-        vec.access_many(warmup)
-        ref.access_many(trace)
-    with batch_mode():
-        vec.access_many(trace)
+    _oracle_hits(ref, warmup)
+    _oracle_hits(vec, warmup)
+    _oracle_hits(ref, trace)
+    vec.access_many(trace)
     assert _stats_tuple(vec.stats) == _stats_tuple(ref.stats)
     assert list(vec._pages) == list(ref._pages)
 
@@ -368,10 +363,8 @@ def test_branch_batch_matches_scalar(n, data):
                              min_size=n, max_size=n))
     outcomes = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
     ref, vec = BranchPredictor(table_size=64), BranchPredictor(table_size=64)
-    with scalar_mode():
-        ref_mis = ref.run_trace(pcs, outcomes)
-    with batch_mode():
-        vec_mis = vec.run_trace(pcs, outcomes)
+    ref_mis = _oracle_branches(ref, pcs, outcomes)
+    vec_mis = vec.run_trace(pcs, outcomes)
     assert vec_mis == ref_mis
     assert vec.branches == ref.branches
     assert vec.mispredictions == ref.mispredictions
@@ -383,10 +376,8 @@ def test_branch_long_runs_saturate_identically():
     pcs = [0x40] * 500 + [0x40] * 500
     outcomes = [True] * 500 + [False] * 500
     ref, vec = BranchPredictor(), BranchPredictor()
-    with scalar_mode():
-        ref.run_trace(pcs, outcomes)
-    with batch_mode():
-        vec.run_trace(pcs, outcomes)
+    _oracle_branches(ref, pcs, outcomes)
+    vec.run_trace(pcs, outcomes)
     assert vec.mispredictions == ref.mispredictions
     assert np.array_equal(vec._table, ref._table)
 
@@ -399,39 +390,16 @@ def test_branch_long_runs_saturate_identically():
 def test_prefetcher_batch_matches_scalar(trace):
     ref = StreamPrefetcher(_small_hierarchy(), streams=2, depth=2)
     vec = StreamPrefetcher(_small_hierarchy(), streams=2, depth=2)
-    with scalar_mode():
-        ref.access_many(trace)
-    with batch_mode():
-        vec.access_many(trace)
+    _oracle_hits(ref, trace)
+    vec.access_many(trace)
     assert vars(vec.stats) == vars(ref.stats)
     assert vec.hierarchy.miss_counts() == ref.hierarchy.miss_counts()
     assert vec._prefetched_lines == ref._prefetched_lines
 
 
 # ----------------------------------------------------------------------
-# Toggle and coercion plumbing
+# Address coercion
 # ----------------------------------------------------------------------
-def test_batch_toggle_env_values(monkeypatch):
-    for value in ("0", "false", "OFF", " no "):
-        monkeypatch.setenv(ENV_VAR, value)
-        assert not batch_enabled()
-    for value in ("1", "true", "on", ""):
-        monkeypatch.setenv(ENV_VAR, value)
-        assert batch_enabled()
-    monkeypatch.delenv(ENV_VAR, raising=False)
-    assert batch_enabled()  # default is on
-
-
-def test_mode_context_managers_restore_prior(monkeypatch):
-    monkeypatch.setenv(ENV_VAR, "0")
-    with batch_mode():
-        assert batch_enabled()
-        with scalar_mode():
-            assert not batch_enabled()
-        assert batch_enabled()
-    assert not batch_enabled()
-
-
 def test_as_addresses_accepts_every_iterable():
     expected = [1, 2, 3]
     for source in ([1, 2, 3], (1, 2, 3), range(1, 4),
@@ -460,8 +428,7 @@ def test_cache_stats_record_batch_coerces_numpy_ints():
 
 def test_cache_stats_stay_python_int_through_batch_access():
     cache = SetAssociativeCache(512, associativity=2)
-    with batch_mode():
-        cache.access_many(np.arange(0, 8192, 64, dtype=np.int64))
+    cache.access_many(np.arange(0, 8192, 64, dtype=np.int64))
     for value in vars(cache.stats).values():
         assert type(value) is int
     json.dumps(vars(cache.stats))
@@ -487,9 +454,8 @@ def test_batch_perf_smoke_one_million_addresses():
     hierarchy = _small_hierarchy()
     tlb = TLB(entries=64)
     start = time.perf_counter()
-    with batch_mode():
-        hierarchy.access_many(trace)
-        tlb.access_many(trace)
+    hierarchy.access_many(trace)
+    tlb.access_many(trace)
     elapsed = time.perf_counter() - start
     assert hierarchy.levels[0].stats.accesses == 1_000_000
     assert tlb.stats.accesses == 1_000_000

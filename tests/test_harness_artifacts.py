@@ -17,7 +17,9 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.cache.batch import scalar_mode
+from repro.cache.branch import BranchPredictor
+from repro.cache.setassoc import SetAssociativeCache, as_addresses
+from repro.cache.tlb import TLB
 from repro.counters.papi import PapiEventSet
 from repro.devices import get_device
 from repro.devices.catalog import device_names
@@ -275,10 +277,39 @@ def test_counters_key_on_the_trace_not_its_name(oracle_shapes):
     assert differs
 
 
-def test_counters_match_oracle_in_scalar_mode(oracle_shapes):
-    with scalar_mode():
-        for artifacts, expected in oracle_shapes:
-            _assert_matches_oracle(artifacts, expected)
+@pytest.fixture
+def per_address_oracles(monkeypatch):
+    """Route every trace entry point through the per-address methods."""
+
+    def filter_misses(self, addresses):
+        return np.asarray([a for a in addresses.tolist()
+                           if not self.access(a)], dtype=np.int64)
+
+    def access_many(self, addresses):
+        before = self.stats.misses
+        for a in as_addresses(addresses).tolist():
+            self.access(a)
+        return self.stats.misses - before
+
+    def run_trace(self, pcs, outcomes):
+        before = self.mispredictions
+        for pc, taken in zip(np.asarray(pcs).tolist(),
+                             np.asarray(outcomes, dtype=bool).tolist()):
+            self.predict_and_update(pc, taken)
+        return self.mispredictions - before
+
+    monkeypatch.setattr(SetAssociativeCache, "filter_misses", filter_misses)
+    monkeypatch.setattr(TLB, "access_many", access_many)
+    monkeypatch.setattr(BranchPredictor, "run_trace", run_trace)
+    clear_memo()  # no replay memoized by the batch path may answer
+    yield
+    clear_memo()
+
+
+def test_counters_match_per_address_oracle(oracle_shapes,
+                                           per_address_oracles):
+    for artifacts, expected in oracle_shapes:
+        _assert_matches_oracle(artifacts, expected)
 
 
 def test_counter_replay_memo_holds_one_instance():

@@ -5,7 +5,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -320,6 +320,8 @@ def test_welch_antisymmetric_in_group_order(a, b):
 
 @SLOW
 @given(_group, _group, st.floats(1e-3, 1e3))
+@example(a=[541.6048587818298] * 3, b=[541.6048587818298] * 3, k=161.5)
+@example(a=[1.0] * 3, b=[541.6048587818298] * 3, k=161.5)
 def test_welch_scale_invariant(a, b, k):
     """Rescaling both groups (unit change) must not move t or p."""
     from repro.scibench.stats import welch_t_test
@@ -345,6 +347,7 @@ def test_cohens_d_antisymmetric(a, b):
 
 @SLOW
 @given(_group, _group, st.floats(1e-3, 1e3))
+@example(a=[1.0] * 3, b=[541.6048587818298] * 3, k=161.5)
 def test_cohens_d_scale_invariant(a, b, k):
     from repro.scibench.stats import cohens_d
     d1 = cohens_d(a, b)

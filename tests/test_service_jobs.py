@@ -1,14 +1,19 @@
 """ServiceEngine semantics: dedup, cancellation, backpressure, telemetry."""
 
 import asyncio
+import os
+import signal
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
 from repro.harness.runner import run_matrix
 from repro.harness.sweep import SweepCache
+from repro.service import jobs as service_jobs
 from repro.service.jobs import (
     CANCELLED,
+    FAILED,
     PENDING,
     QueueFull,
     ServiceEngine,
@@ -102,6 +107,43 @@ class TestDedup:
         assert job2.cached is True
         assert registry.counter("sweep_cells_computed_total").value() == 1
         assert registry.counter("service_cache_hits_total").value() == 1
+
+
+def _killed_worker(config, trace_ctx=None):
+    """Stands in for ``_compute_cell``: the worker dies as if OOM-killed."""
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+class TestDeadWorker:
+    def test_pool_is_replaced_after_a_worker_dies(self, monkeypatch):
+        async def clean_run():
+            engine = _engine(jobs=1)
+            job, _ = engine.submit("fft", "tiny", DEVICE, 1, samples=SAMPLES)
+            await engine.start()
+            payload = await job.future
+            await engine.stop()
+            return payload
+
+        registry = MetricsRegistry()
+
+        async def main():
+            engine = _engine(jobs=1, registry=registry)
+            await engine.start()
+            monkeypatch.setattr(service_jobs, "_compute_cell", _killed_worker)
+            doomed, _ = engine.submit("crc", "tiny", DEVICE, 1,
+                                      samples=SAMPLES)
+            with pytest.raises(BrokenProcessPool):
+                await doomed.future
+            monkeypatch.undo()
+            job, _ = engine.submit("fft", "tiny", DEVICE, 1, samples=SAMPLES)
+            payload = await job.future
+            await engine.stop()
+            return doomed, payload
+
+        doomed, payload = asyncio.run(main())
+        assert doomed.state == FAILED
+        assert payload == asyncio.run(clean_run())
+        assert registry.counter("service_worker_restarts_total").value() == 1
 
 
 class TestCancellation:

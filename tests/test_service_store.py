@@ -101,6 +101,48 @@ class TestLocalCacheBackend:
         backend.write("result", "aa" * 32, b"x")
         assert not list(tmp_path.rglob("*.tmp"))
 
+    def test_racing_writers_never_publish_a_torn_entry(self, tmp_path):
+        """Two writers of one key and a reader, as on a shared hub."""
+        backend = LocalCacheBackend(tmp_path)
+        key = "ab" * 32
+        blobs = (b"a" * (2 << 20), b"b" * (3 << 20))
+        errors, torn = [], []
+        writing = threading.Barrier(2)
+        done = threading.Event()
+
+        def write(blob):
+            try:
+                writing.wait()
+                for _ in range(30):
+                    backend.write("result", key, blob)
+            except Exception as exc:  # asserted below
+                errors.append(exc)
+
+        def read():
+            while not done.is_set():
+                try:
+                    got = backend.read("result", key)
+                except Exception as exc:
+                    errors.append(exc)
+                    continue
+                if got is not None and got not in blobs:
+                    torn.append(len(got))
+
+        writers = [threading.Thread(target=write, args=(blob,))
+                   for blob in blobs]
+        reader = threading.Thread(target=read)
+        reader.start()
+        for thread in writers:
+            thread.start()
+        for thread in writers:
+            thread.join()
+        done.set()
+        reader.join()
+        assert errors == []
+        assert torn == []
+        assert backend.read("result", key) in blobs
+        assert not list(tmp_path.rglob("*.tmp"))
+
     def test_legacy_layouts_consulted(self, tmp_path):
         backend = LocalCacheBackend(tmp_path)
         sharded, flat = "ab" + "1" * 62, "cd" + "2" * 62
