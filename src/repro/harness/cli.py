@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 
 from ..analysis.findings import DEFAULT_SEVERITIES, FAIL_ON_CHOICES
-from ..devices.catalog import CATALOG, device_names, get_device
+from ..devices.catalog import CATALOG, get_device
 from ..dwarfs.base import SIZES
 from ..dwarfs.registry import BENCHMARKS, EXTENSIONS, get_benchmark
 from ..ocl.platform import select_device
@@ -32,7 +32,7 @@ from ..scibench.stats import summarize
 from . import figures as figmod
 from .report import render_table, table1_text, table2_text, table3_text
 from .results import ResultSet
-from .runner import RunConfig, run_benchmark
+from .runner import RunConfig, expand_matrix, run_benchmark
 from .sweep import SweepCache, default_cache_dir, run_sweep
 
 #: Exit statuses shared by every subcommand: 0 = success, 1 = the
@@ -177,24 +177,14 @@ def _matrix_configs(args) -> list[RunConfig]:
     """The measurement-matrix cells selected by ``--benchmark``/``--size``/
     ``--device`` (each ``None`` meaning "every one registered")."""
     execute = not args.no_execute
-    devices = ([_resolve_device(args.device).name] if args.device
-               else list(device_names()))
-    benchmarks = ([args.benchmark] if getattr(args, "benchmark", None)
-                  and args.benchmark != "all" else sorted(BENCHMARKS))
-    configs = []
-    for name in benchmarks:
-        cls = get_benchmark(name)
-        sizes = [args.size] if args.size else list(cls.available_sizes())
-        for size in sizes:
-            if size not in cls.available_sizes():
-                continue
-            for device in devices:
-                configs.append(RunConfig(
-                    benchmark=name, size=size, device=device,
-                    samples=args.samples, execute=execute, validate=execute,
-                    seed=args.seed,
-                ))
-    return configs
+    benchmark = getattr(args, "benchmark", None)
+    cells = expand_matrix(
+        [benchmark] if benchmark and benchmark != "all" else None,
+        [args.size] if args.size else None,
+        [_resolve_device(args.device).name] if args.device else None)
+    return [RunConfig(benchmark=b, size=s, device=d, samples=args.samples,
+                      execute=execute, validate=execute, seed=args.seed)
+            for b, s, d in cells]
 
 
 def cmd_run_all(args) -> int:
@@ -217,17 +207,15 @@ def cmd_run_all(args) -> int:
         print(session.report().to_table())
     results = ResultSet(outcome.results)
     rows = []
-    for name in sorted({c.benchmark for c in configs}):
-        for size in [s for s in SIZES
-                     if any(c.size == s and c.benchmark == name
-                            for c in configs)]:
-            best = results.best_device(name, size)
-            rows.append({
-                "benchmark": name, "size": size,
-                "best device": best.device,
-                "class": best.device_class,
-                "mean (ms)": round(best.mean_ms, 4),
-            })
+    # expand_matrix is benchmark-major, sizes in Table 2 order
+    for name, size in dict.fromkeys((c.benchmark, c.size) for c in configs):
+        best = results.best_device(name, size)
+        rows.append({
+            "benchmark": name, "size": size,
+            "best device": best.device,
+            "class": best.device_class,
+            "mean (ms)": round(best.mean_ms, 4),
+        })
     print(render_table(rows, "Fastest device per benchmark x size"))
     _print_sweep_summary(outcome, cache)
     return EXIT_OK
@@ -827,10 +815,10 @@ def cmd_serve(args) -> int:
     """``serve``: benchmark-as-a-service over line-delimited JSON/TCP.
 
     Full mode queues cell/matrix submissions from many concurrent
-    clients (deduplicated in flight, cached, LPT-scheduled over the
-    sweep pool); ``--cache-only`` serves just the shared result store
-    so other workers can point ``--cache-dir remote://host:port`` at
-    it.  Protocol and topology: ``docs/service.md``.  ``--log-jsonl``
+    clients (deduplicated in flight, cached, dispatched by priority
+    then FIFO over the sweep's ``CellPool``); ``--cache-only`` serves
+    just the shared result store so other workers can point
+    ``--cache-dir remote://host:port`` at it.  Protocol and topology: ``docs/service.md``.  ``--log-jsonl``
     doubles as the served-job history feeding ``regress render
     --board``.
     """

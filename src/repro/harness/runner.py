@@ -29,10 +29,10 @@ import numpy as np
 
 from ..counters.nvml import NvmlSensor
 from ..counters.rapl import RaplSensor
-from ..devices.catalog import get_device
+from ..devices.catalog import device_names, get_device
 from ..devices.specs import DeviceSpec, Vendor
-from ..dwarfs.base import Benchmark
-from ..dwarfs.registry import get_benchmark
+from ..dwarfs.base import SIZES, Benchmark
+from ..dwarfs.registry import BENCHMARKS, get_benchmark
 from ..ocl import CommandQueue, Context, Device, find_device
 from ..perfmodel import iteration_time, noisy_samples
 from ..perfmodel.roofline import TimeBreakdown
@@ -352,7 +352,6 @@ def run_matrix(
     cls = get_benchmark(benchmark)
     sizes = list(sizes) if sizes else list(cls.available_sizes())
     if devices is None:
-        from ..devices.catalog import device_names
         devices = list(device_names())
     runlog = runlog if runlog is not None else get_default_runlog()
     if runlog is not None:
@@ -373,3 +372,20 @@ def run_matrix(
                      groups=len(outcome.results),
                      computed=outcome.computed, cached=outcome.cached)
     return outcome.results
+
+
+def expand_matrix(benchmarks=None, sizes=None, devices=None,
+                  ) -> list[tuple[str, str, str]]:
+    """The (benchmark, size, device) cells of a matrix (``None`` = every one).
+
+    Shared by ``run all``, ``profile``, ``regress record`` and
+    ``submit_matrix``: a benchmark is crossed only with the sizes it has
+    a preset for.  Unknown names pass through for the caller to reject.
+    """
+    benchmarks = list(benchmarks) if benchmarks else sorted(BENCHMARKS)
+    sizes = list(sizes) if sizes else list(SIZES)
+    devices = list(devices) if devices else list(device_names())
+    return [(b, s, d) for b in benchmarks for s in sizes
+            if b not in BENCHMARKS or s not in SIZES
+            or s in BENCHMARKS[b].available_sizes()
+            for d in devices]

@@ -9,10 +9,10 @@ invocation; this module gives the harness the two properties GEMMbench
 argue reproducible benchmarking needs:
 
 * **parallelism** — :func:`run_sweep` fans cells out over a
-  :class:`concurrent.futures.ProcessPoolExecutor` (``jobs`` workers,
-  default ``os.cpu_count()``).  Because each cell seeds its RNG with
-  the process-stable :func:`~repro.harness.runner.cell_seed`, a
-  parallel sweep produces samples **bit-identical** to a serial one;
+  :class:`CellPool` (``jobs`` workers, default ``os.cpu_count()``), in
+  input order, at most ``jobs`` in flight.  Because each cell seeds its
+  RNG with the process-stable :func:`~repro.harness.runner.cell_seed`,
+  a parallel sweep produces samples **bit-identical** to a serial one;
 * **memoisation** — a :class:`SweepCache` persists each cell's
   :class:`~repro.harness.runner.RunResult` keyed on a SHA-256 of the
   :class:`~repro.harness.runner.RunConfig`, the full device spec and a
@@ -40,14 +40,19 @@ The on-disk cache-entry layout is documented in ``docs/formats.md``.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import io
 import json
 import logging
 import os
+import threading
 import time
 import zipfile
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from collections import deque
+from concurrent.futures import Future, ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -524,6 +529,99 @@ def _compute_cell(
     return result_to_payload(result), records, default_registry().snapshot(), spans
 
 
+class WorkerDied(BrokenProcessPool):
+    """A pool worker died (OOM-killed, say); ``configs`` are the cells
+    that were in flight on the pool and are lost with it."""
+
+    def __init__(self, configs):
+        self.configs = list(configs)
+        super().__init__("a worker process died; lost " + ", ".join(
+            f"{c.benchmark}/{c.size}/{c.device}" for c in self.configs))
+
+
+class _Generation:
+    """One executor and the cells in flight on it."""
+
+    def __init__(self, jobs: int):
+        self.executor = ProcessPoolExecutor(max_workers=jobs)
+        self.cells: dict[Future, RunConfig] = {}
+        self.lost: list[RunConfig] | None = None  # set once it breaks
+
+
+class CellPool:
+    """The one process pool behind :func:`run_sweep` and ``repro serve``.
+
+    :meth:`submit` queues a cell and returns a future of its
+    :func:`_compute_cell` reply.  At most ``jobs`` cells are in the
+    workers; as one lands, the next queued cell takes its slot.  When a
+    worker dies, every cell in the workers fails with
+    :class:`WorkerDied`, and the pool swaps in a fresh executor, counted
+    in :attr:`restarts` and ``sweep_worker_restarts_total``.
+    """
+
+    def __init__(self, jobs: int, registry=None):
+        self.jobs = jobs
+        self.restarts = 0
+        self._counter = (registry or default_registry()).counter(
+            "sweep_worker_restarts_total",
+            "Worker pools replaced after a worker died")
+        self._lock = threading.RLock()  # a callback may run in _launch
+        self._gen = _Generation(jobs)
+        self._queued: deque[tuple[RunConfig, dict | None, Future]] = deque()
+
+    def submit(self, config: RunConfig, trace_ctx: dict | None = None,
+               ) -> Future:
+        """Queue one cell; the future resolves to its worker reply."""
+        reply: Future = Future()
+        reply.set_running_or_notify_cancel()  # a queued cell always runs
+        with self._lock:
+            self._queued.append((config, trace_ctx, reply))
+            self._launch()
+        return reply
+
+    def _launch(self) -> None:
+        """Move queued cells into free worker slots; lock held."""
+        while self._queued and len(self._gen.cells) < self.jobs:
+            config, trace_ctx, reply = self._queued.popleft()
+            gen = self._gen
+            try:
+                work = gen.executor.submit(_compute_cell, config, trace_ctx)
+            except BrokenProcessPool:  # broke before its callbacks ran
+                gen = self._restart(gen)
+                work = gen.executor.submit(_compute_cell, config, trace_ctx)
+            gen.cells[work] = config
+            work.add_done_callback(functools.partial(self._settle, gen, reply))
+
+    def _restart(self, broken: _Generation) -> _Generation:
+        """Retire ``broken`` once, recording its lost cells; lock held."""
+        if broken.lost is None:
+            broken.lost = list(broken.cells.values())
+        if self._gen is broken:
+            self._gen = _Generation(self.jobs)
+            self.restarts += 1
+            self._counter.inc()
+        return self._gen
+
+    def _settle(self, gen: _Generation, reply: Future, work: Future) -> None:
+        error = work.exception()
+        with self._lock:
+            if isinstance(error, BrokenProcessPool):
+                self._restart(gen)
+                error = WorkerDied(gen.lost)
+            gen.cells.pop(work, None)
+            self._launch()
+        if error is None:
+            reply.set_result(work.result())
+        else:
+            reply.set_exception(error)
+
+    def close(self) -> None:
+        """Drop the queued cells, wait for those in the workers, stop."""
+        with self._lock:
+            self._queued.clear()  # their replies never resolve
+        self._gen.executor.shutdown(wait=True)
+
+
 def adopt_cell(reply: tuple, runlog: RunLog | None, registry, span: str,
                **attrs) -> dict:
     """Fold one :func:`_compute_cell` reply into this process's telemetry.
@@ -605,18 +703,20 @@ def run_sweep(
         Results in input order plus computed/cached cell counts and
         the wall-clock duration.
 
+    Raises
+    ------
+    WorkerDied
+        Naming the cells lost to a dead worker, once every other cell
+        is finished and cached and ``sweep_complete`` is written.
+
     Notes
     -----
-    Pending (non-cached) cells are submitted longest-modeled-first via
-    :func:`repro.scheduling.sweep_execution_order` — the LPT heuristic
-    the scheduler already uses for heterogeneous task placement —
-    which minimises pool makespan when cell costs are skewed.
+    Pending (non-cached) cells are dispatched in input order, at most
+    ``jobs`` at a time, through one :class:`CellPool`.
     In parallel mode the per-cell ``sweep_cell`` spans are recorded at
     completion on the parent (the tracer's span stack is per-process),
     so they mark ordering and cache state, not child-side duration.
     """
-    from ..scheduling import sweep_execution_order
-
     tracer = get_tracer()
     registry = default_registry()
     runlog = runlog if runlog is not None else get_default_runlog()
@@ -632,6 +732,8 @@ def run_sweep(
     keys = [cell_key(c) if cache is not None else None for c in configs]
     results: dict[int, RunResult] = {}
     pending: list[int] = []
+    lost: list[int] = []
+    restarts = 0
 
     def cell_attrs(i: int, cached: bool) -> dict:
         config = configs[i]
@@ -658,29 +760,35 @@ def run_sweep(
             count_cell(registry, runlog, config, keys[i], cached=True)
             results[i] = hit
 
-        order = [pending[pos] for pos in
-                 sweep_execution_order([configs[i] for i in pending])]
         if jobs == 1:
-            for i in order:
+            for i in pending:
                 with tracer.span("sweep_cell", **cell_attrs(i, False)):
                     result = run_benchmark(configs[i], runlog=runlog,
                                            artifact_cache=cache)
                 finish(i, result)
-        elif order:
+        elif pending:
             trace_ctx = tracer.propagation_context()
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                futures = {pool.submit(_compute_cell, configs[i], trace_ctx): i
-                           for i in order}
+            with closing(CellPool(jobs, registry)) as pool:
+                futures = {pool.submit(configs[i], trace_ctx): i
+                           for i in pending}
                 for future in as_completed(futures):
                     i = futures[future]
-                    payload = adopt_cell(future.result(), runlog, registry,
+                    try:
+                        reply = future.result()
+                    except WorkerDied:
+                        lost.append(i)
+                        if runlog is not None:
+                            runlog.write("cell_failed", **cell_attrs(i, False))
+                        continue
+                    payload = adopt_cell(reply, runlog, registry,
                                          "sweep_cell", **cell_attrs(i, False))
                     finish(i, result_from_payload(payload))
+                restarts = pool.restarts
 
     wall_s = time.perf_counter() - start
     outcome = SweepOutcome(
-        results=[results[i] for i in range(len(configs))],
-        computed=len(pending),
+        results=[results.get(i) for i in range(len(configs))],
+        computed=len(pending) - len(lost),
         cached=len(configs) - len(pending),
         wall_s=wall_s,
         jobs=jobs,
@@ -689,8 +797,11 @@ def run_sweep(
         degraded = _degraded_counter().totals_by("reason")
         runlog.write("sweep_complete", cells=outcome.cells,
                      computed=outcome.computed, cached=outcome.cached,
+                     failed=len(lost), worker_restarts=restarts,
                      wall_s=wall_s, cache_degraded={
                          reason: int(degraded.get(reason, 0)
                                      - degraded_before.get(reason, 0))
                          for reason in DEGRADED_REASONS})
+    if lost:
+        raise WorkerDied([configs[i] for i in sorted(lost)])
     return outcome

@@ -5,7 +5,6 @@ from .scheduler import (
     Task,
     schedule_lpt,
     schedule_round_robin,
-    sweep_execution_order,
 )
 from .selector import (
     DevicePrediction,
@@ -27,5 +26,4 @@ __all__ = [
     "schedule_lpt",
     "schedule_round_robin",
     "select_device",
-    "sweep_execution_order",
 ]

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 from ..devices.catalog import get_device
 from ..dwarfs.base import Benchmark
-from ..dwarfs.registry import get_benchmark
 from ..perfmodel.roofline import iteration_time
 from ..telemetry.metrics import default_registry
 from ..telemetry.tracer import get_tracer
@@ -151,42 +150,6 @@ def schedule_lpt(tasks: list[Task], devices: list[str]) -> Assignment:
             assignment.add(best, task.label, matrix[task.label][best])
     _record_schedule("lpt", assignment, len(tasks))
     return assignment
-
-
-def sweep_execution_order(configs: list) -> list[int]:
-    """Submission order for sweep cells: longest modeled cell first.
-
-    The same longest-processing-time-first idea as
-    :func:`schedule_lpt`, applied to the harness's parallel sweep
-    engine: when :func:`repro.harness.sweep.run_sweep` feeds a process
-    pool, starting the most expensive cells first minimises the
-    makespan tail (a cheap cell finishing last costs nothing; an
-    expensive one started last idles every other worker).
-
-    Parameters
-    ----------
-    configs : list of repro.harness.runner.RunConfig
-        The pending sweep cells.  Each cell's cost proxy is the
-        modeled iteration time of its benchmark/size on its device;
-        cells whose cost cannot be modeled (unknown benchmark during a
-        partial registry, say) sort last rather than raising.
-
-    Returns
-    -------
-    list of int
-        Indices into ``configs``, most expensive cell first.  Ties
-        keep input order, so the ordering is deterministic.
-    """
-    costs = []
-    for i, config in enumerate(configs):
-        try:
-            bench = get_benchmark(config.benchmark).from_size(config.size)
-            cost = iteration_time(get_device(config.device),
-                                  bench.profiles()).total_s
-        except Exception:
-            cost = -1.0
-        costs.append((i, cost))
-    return [i for i, _ in sorted(costs, key=lambda p: (-p[1], p[0]))]
 
 
 def schedule_round_robin(tasks: list[Task], devices: list[str]) -> Assignment:

@@ -3,7 +3,7 @@
 The ROADMAP's "benchmark-as-a-service" layer: a long-running asyncio
 server (``repro serve``) over the sweep engine, accepting cell and
 matrix requests from many concurrent clients with in-flight
-deduplication, LPT/priority scheduling and queue-depth backpressure;
+deduplication, priority-then-FIFO dispatch and queue-depth backpressure;
 a pluggable cache backend so multiple workers and hosts share one
 content-addressed result store; and an auto-updating results board
 fed from the trajectory plus served-job history.

@@ -4,8 +4,8 @@ The service side of the sweep engine: many clients submit
 (benchmark, size, device) cells; the engine turns each into a
 :class:`~repro.harness.runner.RunConfig`, keys it with the same
 content address the :class:`~repro.harness.sweep.SweepCache` uses, and
-drives a bounded process pool.  Three properties the batch engine does
-not need, this one does:
+drives the sweep engine's :class:`~repro.harness.sweep.CellPool`.
+Three properties the batch engine does not need, this one does:
 
 * **In-flight deduplication** — N concurrent requests for the same
   cell key collapse onto one :class:`Job`; every subscriber gets the
@@ -18,44 +18,43 @@ not need, this one does:
   (current depth x observed mean cell latency), which the server
   surfaces as a ``rejected`` record instead of letting the queue grow
   without bound.
-* **Priority + LPT dispatch** — each dispatch picks the
-  highest-priority pending job; ties break longest-modeled-first via
-  :func:`repro.scheduling.sweep_execution_order`, the same makespan
-  heuristic the batch sweep uses.
+* **Priority, then FIFO** — each dispatch picks the highest-priority
+  pending job; ties go in submission order, as the batch sweep
+  dispatches its cells.
 
 Submit rejects a size the benchmark has no preset for, and
-:func:`expand_matrix` skips such cells, as ``run all`` does.
+:func:`~repro.harness.runner.expand_matrix` skips such cells, as
+``run all`` does.
 
 What happens to a cell once its key is known is the batch engine's
-(:mod:`repro.harness.sweep`): the same module-level ``_compute_cell``
-worker (so a served result is bit-identical to ``run_matrix`` output;
-per-cell seeds are process-stable), ``adopt_cell`` to fold the reply
-in under a completion-time ``service_job`` span, and ``count_cell``
-for the ``sweep_cells_*`` counters and ``cell_*`` run-log records.  On
-top of that the engine maintains the service instruments —
+(:mod:`repro.harness.sweep`): the same ``CellPool`` over the
+``_compute_cell`` worker (so a served result is bit-identical to
+``run_matrix`` output; per-cell seeds are process-stable),
+``adopt_cell`` to fold the reply in under a completion-time
+``service_job`` span, and ``count_cell`` for the ``sweep_cells_*``
+counters and ``cell_*`` run-log records.  On top of that the engine
+maintains the service instruments —
 ``service_queue_depth`` / ``service_jobs_inflight`` gauges,
 ``service_requests_total`` / ``service_dedup_hits_total`` /
-``service_cache_hits_total`` / ``service_worker_restarts_total``
-counters and the ``service_cell_latency_seconds`` histogram.
+``service_cache_hits_total`` counters and the
+``service_cell_latency_seconds`` histogram.
 
-A worker that dies mid-cell (OOM-killed, say) breaks the whole
-process pool: the job it held fails, and the engine swaps in a fresh
-pool once per breakage so later jobs compute again without a server
-restart.
+A worker that dies mid-cell (OOM-killed, say) fails the jobs in flight
+on the pool with :class:`~repro.harness.sweep.WorkerDied`; the pool
+swaps in fresh workers (counted in ``sweep_worker_restarts_total``),
+so later jobs compute again without a server restart.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 from ..harness.runner import DEFAULT_SAMPLES, RunConfig
 from ..harness.sweep import (
+    CellPool,
     SweepCache,
-    _compute_cell,
     adopt_cell,
     cell_key,
     count_cell,
@@ -120,27 +119,6 @@ class Job:
         }
 
 
-def expand_matrix(benchmarks=None, sizes=None, devices=None,
-                  ) -> list[tuple[str, str, str]]:
-    """A ``submit_matrix`` request's cell list (``None`` = every one).
-
-    Like ``run all``, a benchmark is crossed only with the sizes it has
-    a preset for.  Unknown names pass through for
-    :meth:`ServiceEngine.submit` to reject.
-    """
-    from ..devices.catalog import device_names
-    from ..dwarfs.base import SIZES
-    from ..dwarfs.registry import BENCHMARKS
-
-    benchmarks = list(benchmarks) if benchmarks else sorted(BENCHMARKS)
-    sizes = list(sizes) if sizes else list(SIZES)
-    devices = list(devices) if devices else list(device_names())
-    return [(b, s, d) for b in benchmarks for s in sizes
-            if b not in BENCHMARKS or s not in SIZES
-            or s in BENCHMARKS[b].available_sizes()
-            for d in devices]
-
-
 class ServiceEngine:
     """Asyncio-side scheduler over the sweep process pool.
 
@@ -167,13 +145,9 @@ class ServiceEngine:
             default_registry())
         self.runlog = runlog if runlog is not None else get_default_runlog()
 
-        self._pool: ProcessPoolExecutor | None = None
-        self._dispatcher: asyncio.Task | None = None
-        self._tasks: set[asyncio.Task] = set()
+        self._pool: CellPool | None = None
+        self._tasks: set[asyncio.Task] = set()  # one per busy worker slot
         self._running = False
-        # loop-lazy (3.10+): safe to create off-loop, bind on first await
-        self._wakeup = asyncio.Event()
-        self._slots = asyncio.Semaphore(self.jobs)
         self._pending: list[Job] = []
         self._by_key: dict[str, Job] = {}
         self._jobs: dict[int, Job] = {}
@@ -188,9 +162,6 @@ class ServiceEngine:
         self._cache_hits = reg.counter(
             "service_cache_hits_total",
             "Served jobs resolved from the result cache")
-        self._worker_restarts = reg.counter(
-            "service_worker_restarts_total",
-            "Process pools replaced after a worker died")
         self._queue_depth = reg.gauge(
             "service_queue_depth", "Jobs waiting for a worker slot")
         self._inflight = reg.gauge(
@@ -203,30 +174,24 @@ class ServiceEngine:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        """Create the pool and the dispatcher (idempotent)."""
+        """Create the pool and start the queued jobs (idempotent)."""
         if self._running:
             return
         self._running = True
-        self._pool = ProcessPoolExecutor(max_workers=self.jobs)
-        if self._pending:
-            self._wakeup.set()
-        self._dispatcher = asyncio.create_task(
-            self._dispatch_loop(), name="service-dispatcher")
+        self._pool = CellPool(self.jobs, self.registry)
+        self._dispatch()
 
     async def stop(self) -> None:
         """Drain: stop dispatching, cancel the pending, await the running."""
         if not self._running:
             return
         self._running = False
-        self._wakeup.set()
-        await self._dispatcher
         for job in list(self._pending):
             self._resolve_cancelled(job)
         self._pending.clear()
         self._queue_depth.set(0)
-        if self._tasks:
-            await asyncio.gather(*self._tasks, return_exceptions=True)
-        self._pool.shutdown(wait=True)
+        await asyncio.gather(*self._tasks, return_exceptions=True)
+        self._pool.close()
         self._pool = None
 
     # ------------------------------------------------------------------
@@ -282,7 +247,8 @@ class ServiceEngine:
         self._queue_depth.set(len(self._pending))
         if self.runlog is not None:
             self.runlog.write("job_submitted", **job.summary())
-        self._wakeup.set()
+        # after this batch of submits: the best of them starts first
+        asyncio.get_running_loop().call_soon(self._dispatch)
         return job, False
 
     def cancel(self, job_id: int, subscriber) -> str:
@@ -302,9 +268,8 @@ class ServiceEngine:
             return "done"
         if job.subscribers:
             return "detached"
-        if job.state == PENDING:
-            if job in self._pending:
-                self._pending.remove(job)
+        if job.state == PENDING:  # dispatch marks a job RUNNING
+            self._pending.remove(job)
             self._queue_depth.set(len(self._pending))
             self._resolve_cancelled(job)
             return "cancelled"
@@ -358,67 +323,40 @@ class ServiceEngine:
             self.runlog.write("job_cancelled", job_id=job.job_id,
                               key=job.key)
 
-    def _pop_next(self) -> Job | None:
-        """Highest priority first; LPT (modeled-longest) among ties."""
-        from ..scheduling import sweep_execution_order
-
-        if not self._pending:
-            return None
-        top = max(job.priority for job in self._pending)
-        group = [job for job in self._pending if job.priority == top]
-        order = sweep_execution_order([job.config for job in group])
-        job = group[order[0]]
-        self._pending.remove(job)
-        self._queue_depth.set(len(self._pending))
-        return job
-
-    async def _dispatch_loop(self) -> None:
-        while self._running:
-            if not self._pending:
-                await self._wakeup.wait()
-                self._wakeup.clear()
-                continue
-            await self._slots.acquire()
-            job = self._pop_next()  # re-check: the await may have raced
-            if job is None or not self._running:
-                self._slots.release()
-                if job is not None:
-                    self._pending.append(job)
-                continue
+    def _dispatch(self) -> None:
+        """Fill free worker slots: highest priority first, then FIFO."""
+        while (self._running and self._pending
+               and len(self._tasks) < self.jobs):
+            job = max(self._pending, key=lambda job: job.priority)
+            self._pending.remove(job)
+            self._queue_depth.set(len(self._pending))
+            job.state = RUNNING
             task = asyncio.create_task(self._run_job(job),
                                        name=f"service-job-{job.job_id}")
             self._tasks.add(task)
             task.add_done_callback(self._tasks.discard)
+            task.add_done_callback(lambda _task: self._dispatch())
 
     async def _run_job(self, job: Job) -> None:
-        """One slot's worth of work; the semaphore is already held."""
-        loop = asyncio.get_running_loop()
+        """One slot's worth of work, started by :meth:`_dispatch`."""
         tracer = get_tracer()
         config = job.config
         attrs = dict(phase="sweep", benchmark=config.benchmark,
                      size=config.size, device=config.device,
                      job_id=job.job_id, key=job.key)
-        job.state = RUNNING
         try:
             with self._inflight.track_inprogress():
                 hit = None
                 if self.cache is not None:
-                    hit = await loop.run_in_executor(
-                        None, self.cache.get, job.key)
+                    hit = await asyncio.to_thread(self.cache.get, job.key)
                 if hit is not None:
                     payload = result_to_payload(hit)
                     self._cache_hits.inc()
                     with tracer.span("service_job", **attrs, cached=True):
                         pass
                 else:
-                    pool = self._pool
-                    try:
-                        reply = await loop.run_in_executor(
-                            pool, _compute_cell, config,
-                            tracer.propagation_context())
-                    except BrokenProcessPool:
-                        self._replace_pool(pool)
-                        raise
+                    reply = await asyncio.wrap_future(self._pool.submit(
+                        config, tracer.propagation_context()))
                     # back on the loop thread: adopt opens, grafts and
                     # closes the job span with no await in between (the
                     # loop thread's span stack is shared across tasks)
@@ -426,8 +364,8 @@ class ServiceEngine:
                                          "service_job", **attrs,
                                          cached=False)
                     if self.cache is not None:
-                        await loop.run_in_executor(
-                            None, self.cache.put, job.key, config,
+                        await asyncio.to_thread(
+                            self.cache.put, job.key, config,
                             result_from_payload(payload))
                 count_cell(self.registry, self.runlog, config, job.key,
                            cached=hit is not None)
@@ -440,22 +378,6 @@ class ServiceEngine:
             if self.runlog is not None:
                 self.runlog.write("job_failed", job_id=job.job_id,
                                   key=job.key, error=str(exc))
-        finally:
-            self._slots.release()
-            self._wakeup.set()
-
-    def _replace_pool(self, broken: ProcessPoolExecutor) -> None:
-        """Swap a fresh pool in for ``broken``, once per breakage.
-
-        Every job in flight on a broken pool fails with
-        :class:`BrokenProcessPool`; only the first to get here finds
-        ``broken`` still installed and replaces it.
-        """
-        if self._pool is not broken:
-            return
-        broken.shutdown(wait=False, cancel_futures=True)
-        self._pool = ProcessPoolExecutor(max_workers=self.jobs)
-        self._worker_restarts.inc()
 
     def _finish(self, job: Job, payload: dict, cached: bool) -> None:
         job.state = DONE

@@ -25,10 +25,11 @@ import asyncio
 import logging
 from pathlib import Path
 
+from ..harness.runner import expand_matrix
 from ..telemetry.metrics import default_registry
 from ..telemetry.tracer import get_tracer
 from . import protocol
-from .jobs import QueueFull, ServiceEngine, expand_matrix
+from .jobs import QueueFull, ServiceEngine
 from .store import LocalCacheBackend
 
 _log = logging.getLogger(__name__)

@@ -10,7 +10,10 @@ Acceptance pins for ISSUE 2's tentpole:
   computing the missing cells — counter-verified.
 """
 
+import importlib
 import json
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -20,13 +23,13 @@ from repro.harness import sweep as crossover_sweep_function  # legacy name
 from repro.harness.sweep import (
     CACHE_FORMAT,
     SweepCache,
+    WorkerDied,
     cell_key,
     default_cache_dir,
     result_from_payload,
     result_to_payload,
     run_sweep,
 )
-from repro.scheduling import sweep_execution_order
 from repro.telemetry.metrics import default_registry
 from repro.telemetry.runlog import memory_runlog
 
@@ -333,6 +336,117 @@ class TestResume:
         assert events.count("run_complete") == 0
 
 
+#: ``repro.harness.sweep`` the attribute is the legacy function of that
+#: name, so the module comes from ``importlib``.
+_sweep_module = importlib.import_module("repro.harness.sweep")
+_real_compute_cell = _sweep_module._compute_cell
+
+
+def _kill_crc_worker(config, trace_ctx=None):
+    """Stands in for ``_compute_cell``: the worker measuring the crc cell
+    dies as if OOM-killed; every other cell computes normally."""
+    if config.benchmark == "crc":
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _real_compute_cell(config, trace_ctx)
+
+
+def _echo_cell(config, trace_ctx=None):
+    """Stands in for ``_compute_cell``: the reply is the cell itself."""
+    return config
+
+
+def _sweep_records(buffer, event):
+    records = [json.loads(l) for l in buffer.getvalue().splitlines()]
+    return [r for r in records if r["event"] == event]
+
+
+class TestWorkerDeath:
+    def test_clean_pooled_sweep_reports_no_failures(self):
+        runlog, buffer = memory_runlog()
+        run_sweep(_configs()[:2], jobs=2, runlog=runlog)
+        [done] = _sweep_records(buffer, "sweep_complete")
+        assert (done["failed"], done["worker_restarts"]) == (0, 0)
+        assert _sweep_records(buffer, "cell_failed") == []
+
+    def test_killed_worker_fails_only_the_cells_in_flight(
+            self, tmp_path, monkeypatch):
+        """One SIGKILLed worker: the sweep finishes and caches every
+        other cell, then raises naming the lost ones; a rerun computes
+        only those and matches a clean serial sweep bit for bit."""
+        configs = _configs() + [
+            RunConfig("csr", "tiny", "i7-6700K", samples=6),
+            RunConfig("nw", "tiny", "GTX 1080", samples=6),
+        ]
+        doomed = configs[2]
+        assert doomed.benchmark == "crc"
+        cache = SweepCache(tmp_path)
+        restarts = default_registry().counter("sweep_worker_restarts_total")
+        before = restarts.total
+        runlog, buffer = memory_runlog()
+        monkeypatch.setattr(_sweep_module, "_compute_cell", _kill_crc_worker)
+        with pytest.raises(WorkerDied) as died:
+            run_sweep(configs, jobs=2, cache=cache, runlog=runlog)
+        monkeypatch.undo()
+
+        lost = died.value.configs
+        assert doomed in lost and len(lost) <= 2  # at most `jobs` in flight
+        assert "crc/tiny/R9 290X" in str(died.value)
+        assert restarts.total - before == 1
+        for config in configs:
+            if config not in lost:
+                assert cache.get(cell_key(config)) is not None
+        [done] = _sweep_records(buffer, "sweep_complete")
+        assert done["failed"] == len(lost)
+        assert done["worker_restarts"] == 1
+        assert done["computed"] == len(configs) - len(lost)
+        assert sorted(r["key"] for r in _sweep_records(buffer, "cell_failed")
+                      ) == sorted(cell_key(c) for c in lost)
+
+        rerun = run_sweep(configs, jobs=2, cache=cache)
+        assert (rerun.computed, rerun.cached) == (
+            len(lost), len(configs) - len(lost))
+        clean = run_sweep(configs, jobs=1)
+        assert [result_to_payload(r) for r in rerun.results] == [
+            result_to_payload(r) for r in clean.results]
+
+
+class TestCellPool:
+    def test_concurrent_submits_all_resolve(self, monkeypatch):
+        """Three workers on fewer cores, two submitting threads and a
+        tiny switch interval: every queued cell reaches a worker and
+        its own reply, and none is left in the pool's books."""
+        import sys
+        import threading
+        from concurrent.futures import wait
+
+        monkeypatch.setattr(_sweep_module, "_compute_cell", _echo_cell)
+        configs = [RunConfig("fft", "tiny", f"dev{i}") for i in range(200)]
+        futures = {}
+        switch = sys.getswitchinterval()
+        pool = _sweep_module.CellPool(3)
+        sys.setswitchinterval(1e-6)
+        try:
+            def submit(part):
+                for config in part:
+                    futures[pool.submit(config)] = config
+
+            threads = [threading.Thread(target=submit, args=(configs[k::2],))
+                       for k in (0, 1)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            _, not_done = wait(futures, timeout=60)
+            assert not not_done
+        finally:
+            sys.setswitchinterval(switch)
+            pool.close()
+        assert all(f.result() == c for f, c in futures.items())
+        assert len(futures) == len(configs)
+        assert pool.restarts == 0 and not pool._gen.cells
+
+
 class TestSerialization:
     def test_result_payload_roundtrip(self):
         result = run_benchmark(RunConfig("fft", "tiny", "i7-6700K", samples=5))
@@ -356,24 +470,6 @@ class TestSerialization:
         result = run_benchmark(RunConfig("fft", "tiny", "i7-6700K", samples=3))
         result.recorder = None
         assert result_from_payload(result_to_payload(result)).recorder is None
-
-
-class TestExecutionOrder:
-    def test_lpt_order_longest_first(self):
-        configs = [
-            RunConfig("fft", "tiny", "GTX 1080"),
-            RunConfig("fft", "large", "GTX 1080"),
-            RunConfig("fft", "medium", "GTX 1080"),
-        ]
-        order = sweep_execution_order(configs)
-        assert order[0] == 1  # large is the most expensive cell
-        assert order[-1] == 0
-
-    def test_deterministic_and_complete(self):
-        configs = _configs()
-        order = sweep_execution_order(configs)
-        assert sorted(order) == list(range(len(configs)))
-        assert order == sweep_execution_order(configs)
 
 
 class TestMatrixIntegration:

@@ -1,6 +1,7 @@
 """ServiceEngine semantics: dedup, cancellation, backpressure, telemetry."""
 
 import asyncio
+import importlib
 import os
 import signal
 from concurrent.futures.process import BrokenProcessPool
@@ -8,16 +9,14 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 
-from repro.harness.runner import run_matrix
+from repro.harness.runner import expand_matrix, run_matrix
 from repro.harness.sweep import SweepCache
-from repro.service import jobs as service_jobs
 from repro.service.jobs import (
     CANCELLED,
     FAILED,
     PENDING,
     QueueFull,
     ServiceEngine,
-    expand_matrix,
 )
 from repro.telemetry.metrics import MetricsRegistry
 
@@ -129,7 +128,10 @@ class TestDeadWorker:
         async def main():
             engine = _engine(jobs=1, registry=registry)
             await engine.start()
-            monkeypatch.setattr(service_jobs, "_compute_cell", _killed_worker)
+            # ``repro.harness.sweep`` the attribute is the legacy
+            # function of that name, not the module
+            monkeypatch.setattr(importlib.import_module("repro.harness.sweep"),
+                                "_compute_cell", _killed_worker)
             doomed, _ = engine.submit("crc", "tiny", DEVICE, 1,
                                       samples=SAMPLES)
             with pytest.raises(BrokenProcessPool):
@@ -143,7 +145,7 @@ class TestDeadWorker:
         doomed, payload = asyncio.run(main())
         assert doomed.state == FAILED
         assert payload == asyncio.run(clean_run())
-        assert registry.counter("service_worker_restarts_total").value() == 1
+        assert registry.counter("sweep_worker_restarts_total").value() == 1
 
 
 class TestCancellation:
