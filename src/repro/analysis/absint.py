@@ -683,6 +683,12 @@ class KernelSummary:
     #: items (the "segment partition" heuristic: CSR rows split nnz,
     #: CRC pages split the message, BFS vertices split the edge list).
     trip_buffers: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    #: :func:`~repro.analysis.accessmodel.classify_launch_sites` memo:
+    #: sorted launch-env items -> the kernel's sites under that env.  It
+    #: lives as long as the summary, so for a :func:`model_ir` summary
+    #: as long as the IR memo entry, and :func:`clear_ir_memo` drops it.
+    sites: dict[tuple, tuple] = field(default_factory=dict, repr=False,
+                                      compare=False)
 
     def strides(self) -> dict[str, str]:
         """Worst stride class per accessed global buffer parameter."""
@@ -1564,7 +1570,7 @@ def model_ir(model: "object") -> ModelIR:
 
 
 def clear_ir_memo() -> None:
-    """Drop every memoized :func:`model_ir` result."""
+    """Drop every memoized :func:`model_ir` result, site memos included."""
     _build_ir.cache_clear()
 
 

@@ -84,7 +84,7 @@ LINE_BYTES = 64
 GATE_TRACE_LEN = 50_000
 
 #: Trace length for the reuse-distance summary (the stack-distance
-#: computation is O(n log n) in pure Python).
+#: computation costs O(log n) numpy sorts of the whole trace).
 REUSE_TRACE_LEN = 20_000
 
 #: Differential-gate tolerance: spans and touched-line counts must
@@ -125,14 +125,28 @@ def _affine_coeff(access: Access) -> int | None:
 
 
 def classify_launch_sites(summary: KernelSummary,
-                          env: dict[str, float]) -> list[AccessSite]:
+                          env: dict[str, float]) -> tuple[AccessSite, ...]:
     """Feasible access sites of one kernel under one launch env.
 
     Identical references (same parameter, bounds, stride and access
     kind) collapse into one site with a multiplicity count, so a loop
     body that touches ``a[i]`` three times yields one site replayed
     three times rather than three budget shares.
+
+    Computed once per env and kept in :attr:`KernelSummary.sites`; the
+    trace synthesis, stride classes, race check and static AIWC all
+    classify the same launches.
     """
+    key = tuple(sorted(env.items()))
+    sites = summary.sites.get(key)
+    if sites is None:
+        sites = summary.sites[key] = _classify_sites(summary, env)
+    return sites
+
+
+def _classify_sites(summary: KernelSummary,
+                    env: dict[str, float]) -> tuple[AccessSite, ...]:
+    """The uncached :func:`classify_launch_sites`."""
     merged: dict[tuple, AccessSite] = {}
     for access in summary.accesses:
         if not all(g.feasible(env) for g in access.guards):
@@ -157,7 +171,7 @@ def classify_launch_sites(summary: KernelSummary,
         else:
             merged[key] = dataclasses.replace(
                 prev, multiplicity=prev.multiplicity + 1)
-    return list(merged.values())
+    return tuple(merged.values())
 
 
 # ---------------------------------------------------------------------------
@@ -536,36 +550,41 @@ def stack_distances(lines: np.ndarray) -> np.ndarray:
 
     ``-1`` marks cold (first-touch) accesses; otherwise the count of
     *distinct* lines touched since the previous access to the same
-    line.  O(n log n) via a Fenwick tree over last-occurrence markers.
+    line.
+
+    Counted offline: with ``prev[j]`` the previous use of access
+    ``j``'s line (``-1`` when cold), a reuse at ``i`` of the access at
+    ``p`` has distance ``#{j < i : prev[j] <= p} - (p + 1)`` (every
+    ``j <= p`` qualifies; past ``p`` exactly the first touch of each
+    distinct line does).  ``j < i`` splits into one aligned block of
+    ``j`` per set bit ``k`` of ``i`` (``j >> k == (i >> k) - 1``), so
+    the count is one sort of ``(j >> k, prev[j])`` keys and two
+    binary searches per bit: O(n log² n) in numpy.
     """
     n = len(lines)
-    out = np.empty(n, dtype=np.int64)
-    tree = [0] * (n + 1)
-
-    def update(pos: int, delta: int) -> None:
-        i = pos + 1
-        while i <= n:
-            tree[i] += delta
-            i += i & -i
-
-    def prefix(pos: int) -> int:
-        i = pos + 1
-        total = 0
-        while i > 0:
-            total += tree[i]
-            i -= i & -i
-        return total
-
-    last: dict[int, int] = {}
-    for i, line in enumerate(lines.tolist()):
-        prev = last.get(line)
-        if prev is None:
-            out[i] = -1
-        else:
-            out[i] = prefix(i - 1) - prefix(prev)
-            update(prev, -1)
-        update(i, 1)
-        last[line] = i
+    out = np.full(n, -1, dtype=np.int64)
+    if n < 2:
+        return out
+    order = np.argsort(lines, kind="stable")
+    same = lines[order[1:]] == lines[order[:-1]]
+    prev = np.full(n, -1, dtype=np.int64)
+    prev[order[1:][same]] = order[:-1][same]
+    reuse = np.flatnonzero(prev >= 0)
+    last = prev[reuse]
+    below = np.zeros(len(reuse), dtype=np.int64)
+    # key = block * width + prev + 1 orders by block, then by prev
+    width = n + 1
+    positions = np.arange(n, dtype=np.int64)
+    for k in range((n - 1).bit_length()):
+        hit = ((reuse >> k) & 1).astype(bool)
+        if not hit.any():
+            continue
+        keys = np.sort((positions >> k) * width + prev + 1)
+        start = ((reuse[hit] >> k) - 1) * width
+        below[hit] += (
+            np.searchsorted(keys, start + last[hit] + 1, side="right")
+            - np.searchsorted(keys, start, side="left"))
+    out[reuse] = below - (last + 1)
     return out
 
 
@@ -593,7 +612,7 @@ def reuse_distance_summary(model: object,
         warm = dist[dist >= 0]
         summary[key] = {
             "accesses": int(mask.sum()),
-            "lines": int(len(np.unique(trace[mask] // line_bytes))),
+            "lines": trace_mod.distinct_lines(trace[mask], line_bytes),
             "cold_fraction": round(float((dist < 0).mean()), 4),
             "mean": round(float(warm.mean()), 2) if len(warm) else None,
             "median": round(float(np.median(warm)), 2) if len(warm) else None,
@@ -662,8 +681,8 @@ def compare_benchmark_traces(
 
         span_hand = _span_bytes(hand)
         span_ir = _span_bytes(ir)
-        touched_hand = len(np.unique(hand // LINE_BYTES))
-        touched_ir = len(np.unique(ir // LINE_BYTES))
+        touched_hand = trace_mod.distinct_lines(hand, LINE_BYTES)
+        touched_ir = trace_mod.distinct_lines(ir, LINE_BYTES)
 
         span_ok = (_ratio(span_ir, footprint) <= SPAN_TOLERANCE
                    and _ratio(span_hand, footprint) <= SPAN_TOLERANCE)

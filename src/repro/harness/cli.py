@@ -33,15 +33,18 @@ from . import figures as figmod
 from .report import render_table, table1_text, table2_text, table3_text
 from .results import ResultSet
 from .runner import RunConfig, expand_matrix, run_benchmark
-from .sweep import SweepCache, default_cache_dir, run_sweep
+from .sweep import SweepCache, WorkerDied, default_cache_dir, run_sweep
 
 #: Exit statuses shared by every subcommand: 0 = success, 1 = the
 #: command ran but found something (lint findings, regressions, an
 #: unsatisfiable schedule), 2 = usage or configuration error (bad
-#: flags, unknown device, missing baseline).
+#: flags, unknown device, missing baseline), 3 = a sweep worker died
+#: (the lost cells are named on stderr; every other cell finished and,
+#: with a cache, a rerun computes only the lost ones).
 EXIT_OK = 0
 EXIT_FINDINGS = 1
 EXIT_USAGE = 2
+EXIT_WORKER_DIED = 3
 
 
 class UsageError(Exception):
@@ -1259,6 +1262,9 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
+    except WorkerDied as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_WORKER_DIED
     except BrokenPipeError:
         # stdout consumer (head, less) closed the pipe: not an error
         import os

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..cache.trace import distinct_lines
 from ..counters.papi import CounterReport, PapiEventSet
 from ..devices.catalog import get_device
 from ..devices.specs import CacheLevel, DeviceSpec
@@ -50,9 +51,7 @@ def scaled_spec(spec: DeviceSpec, factor: float) -> DeviceSpec:
 
 def touched_bytes(trace: np.ndarray, line_bytes: int = 64) -> int:
     """Distinct cache-line bytes a trace actually exercises."""
-    if len(trace) == 0:
-        return 0
-    return len(np.unique(trace // line_bytes)) * line_bytes
+    return distinct_lines(trace, line_bytes) * line_bytes
 
 
 @dataclass(frozen=True)

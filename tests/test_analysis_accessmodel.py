@@ -11,6 +11,7 @@ from repro.analysis import run_deep_suite
 from repro.analysis.accessmodel import (
     GATE_TRACE_LEN,
     LINE_BYTES,
+    REUSE_TRACE_LEN,
     access_model_findings,
     buffer_layout,
     compare_benchmark_traces,
@@ -307,6 +308,58 @@ class TestStackDistances:
 
     def test_repeated_line_has_distance_zero(self):
         assert stack_distances(np.array([5, 5, 5])).tolist() == [-1, 0, 0]
+
+    @pytest.mark.parametrize("name", ALL_BENCHMARKS)
+    def test_synthesized_reuse_traces_match_the_fenwick_walk(self, name):
+        cls = registry.get_benchmark(name)
+        model = cls.from_size(cls.available_sizes()[0]).static_launches()
+        trace, _layout = synthesize_trace(model, max_len=REUSE_TRACE_LEN)
+        lines = trace // LINE_BYTES
+        assert stack_distances(lines).tolist() == _fenwick_distances(lines)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 9, 15, 17, 31, 33, 63,
+                                   65, 255, 257, 1023, 1025, 4095, 4097])
+    @pytest.mark.parametrize("distinct", ["few", "many"])
+    def test_random_traces_match_the_fenwick_walk(self, n, distinct):
+        rng = np.random.default_rng(n)
+        high = 3 if distinct == "few" else 4 * n + 1
+        lines = rng.integers(0, high, size=n, dtype=np.int64)
+        assert stack_distances(lines).tolist() == _fenwick_distances(lines)
+
+
+def _fenwick_distances(lines):
+    """The per-access Fenwick-tree walk ``stack_distances`` replaced:
+    a last-occurrence marker per line, and the distance of a reuse is
+    the count of markers strictly between the two uses."""
+    n = len(lines)
+    out = []
+    tree = [0] * (n + 1)
+
+    def update(pos, delta):
+        i = pos + 1
+        while i <= n:
+            tree[i] += delta
+            i += i & -i
+
+    def prefix(pos):
+        i = pos + 1
+        total = 0
+        while i > 0:
+            total += tree[i]
+            i -= i & -i
+        return total
+
+    last = {}
+    for i, line in enumerate(lines.tolist()):
+        prev = last.get(line)
+        if prev is None:
+            out.append(-1)
+        else:
+            out.append(prefix(i - 1) - prefix(prev))
+            update(prev, -1)
+        update(i, 1)
+        last[line] = i
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,19 @@ from collections import Counter
 
 import pytest
 
-from repro.analysis import absint, run_deep_suite
+from repro.analysis import absint, accessmodel, run_deep_suite
 from repro.analysis.absint import (
     IR_MEMO_SIZE,
     clear_ir_memo,
     model_ir,
     static_footprint,
 )
-from repro.analysis.accessmodel import ir_stride_classes, synthesize_trace
+from repro.analysis.absint import _launch_env
+from repro.analysis.accessmodel import (
+    classify_launch_sites,
+    ir_stride_classes,
+    synthesize_trace,
+)
 from repro.analysis.staticaiwc import characterize_model, profiles_from_model
 from repro.dwarfs import registry
 from repro.dwarfs.base import StaticBuffer, StaticLaunch, StaticLaunchModel
@@ -74,6 +79,33 @@ def parse_calls(monkeypatch):
     clear_memo()
 
 
+@pytest.fixture
+def classify_calls(monkeypatch):
+    """Counts of ``classify_launch_sites`` lookups (every binding
+    wrapped) and of the classifications actually computed."""
+    counts = Counter()
+    lookup = accessmodel.classify_launch_sites
+    compute = accessmodel._classify_sites
+
+    def counting_lookup(summary, env):
+        counts["lookups"] += 1
+        return lookup(summary, env)
+
+    def counting_compute(summary, env):
+        counts["computed"] += 1
+        return compute(summary, env)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") and module is not None:
+            for attr, value in list(vars(module).items()):
+                if value is lookup:
+                    monkeypatch.setattr(module, attr, counting_lookup)
+    monkeypatch.setattr(accessmodel, "_classify_sites", counting_compute)
+    clear_memo()
+    yield counts
+    clear_memo()
+
+
 @pytest.mark.parametrize("analysis", [
     static_footprint,
     synthesize_trace,
@@ -118,6 +150,27 @@ class TestMemo:
             model_ir(_model(macros={"N": n}))
         assert absint._build_ir.cache_info().currsize == IR_MEMO_SIZE
 
+    def test_memoized_sites_equal_a_fresh_classification(self):
+        clear_ir_memo()
+        model = registry.get_benchmark("kmeans").from_size(
+            "tiny").static_launches()
+        ir = model_ir(model)
+        for launch in model.launches:
+            summary, env = ir.summary(launch.kernel), _launch_env(launch)
+            first = classify_launch_sites(summary, env)
+            assert isinstance(first, tuple)
+            assert classify_launch_sites(summary, dict(env)) is first
+            assert first == accessmodel._classify_sites(summary, env)
+
+    def test_clear_drops_the_site_memo(self):
+        model = _model()
+        launch = model.launches[0]
+        summary = model_ir(model).summary("k")
+        classify_launch_sites(summary, _launch_env(launch))
+        assert summary.sites
+        clear_ir_memo()
+        assert model_ir(model).summary("k").sites == {}
+
     def test_parse_failure_raises(self):
         broken = StaticLaunchModel(source="__kernel void k(", buffers={},
                                    launches=())
@@ -131,6 +184,10 @@ class TestDeepSuite:
                        emit_metrics=False)
         keys = _suite_keys(SUITE)
         assert Counter(parse_calls) == Counter(source for source, _ in keys)
+
+    def test_classifies_each_kernel_and_env_once(self, classify_calls):
+        run_deep_suite(traces=True, aiwc=True, emit_metrics=False)
+        assert classify_calls == {"lookups": 7868, "computed": 3227}
 
     def test_report_identical_from_cold_and_warm_memo(self):
         clear_memo()

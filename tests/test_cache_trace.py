@@ -100,6 +100,28 @@ class TestComposition:
         assert len(trace.offset_trace(np.empty(0, np.int64), 10)) == 0
 
 
+class TestDistinctLines:
+    @pytest.mark.parametrize("addresses", [
+        np.empty(0, dtype=np.int64),
+        np.array([12345], dtype=np.int64),
+        np.full(100, 640, dtype=np.int64),
+        np.array([-65, -64, -1, 0, 63, 64], dtype=np.int64),
+    ], ids=["empty", "single", "all-equal", "negative"])
+    @pytest.mark.parametrize("line_bytes", [1, 64, 4096])
+    def test_edge_cases_match_unique(self, addresses, line_bytes):
+        assert trace.distinct_lines(addresses, line_bytes) == len(
+            np.unique(addresses // line_bytes))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_traces_match_unique(self, seed):
+        rng = np.random.default_rng(seed)
+        addresses = rng.integers(0, rng.integers(1, 1 << 20),
+                                 size=rng.integers(0, 5000), dtype=np.int64)
+        for line_bytes in (1, 64, 4096):
+            assert trace.distinct_lines(addresses, line_bytes) == len(
+                np.unique(addresses // line_bytes))
+
+
 def _interleaved_oracle(traces):
     """The element-by-element round robin ``interleaved`` replaced."""
     traces = [t for t in traces if len(t)]

@@ -6,6 +6,7 @@ from repro.harness.cli import (
     EXIT_FINDINGS,
     EXIT_OK,
     EXIT_USAGE,
+    EXIT_WORKER_DIED,
     build_parser,
     main,
 )
@@ -144,10 +145,12 @@ class TestExtendedCommands:
 
 class TestExitCodes:
     """The convention every command follows: 0 = ok, 1 = findings
-    (a gate tripped on otherwise-valid input), 2 = usage/config error."""
+    (a gate tripped on otherwise-valid input), 2 = usage/config error,
+    3 = a sweep worker died."""
 
     def test_constants(self):
-        assert (EXIT_OK, EXIT_FINDINGS, EXIT_USAGE) == (0, 1, 2)
+        assert (EXIT_OK, EXIT_FINDINGS, EXIT_USAGE,
+                EXIT_WORKER_DIED) == (0, 1, 2, 3)
 
     def test_success_is_exit_ok(self, capsys):
         assert main(["run", "fft", "--size", "tiny", "--device", "GTX 1080",

@@ -528,6 +528,19 @@ class TestCLI:
         assert rc == EXIT_USAGE
         assert "--resume" in capsys.readouterr().err
 
+    def test_dead_worker_is_one_line_and_exit_3(self, tmp_path, capsys,
+                                                  monkeypatch):
+        from repro.harness.cli import EXIT_WORKER_DIED, main
+        monkeypatch.setattr(_sweep_module, "_compute_cell", _kill_crc_worker)
+        rc = main(["run", "all", "--size", "tiny", "--samples", "3",
+                   "--device", "i7-6700K", "--no-execute", "--jobs", "2",
+                   "--cache-dir", str(tmp_path)])
+        assert rc == EXIT_WORKER_DIED == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "worker process died" in err
+        assert "crc/tiny/i7-6700K" in err
+
     def test_figure_with_cache(self, tmp_path, capsys):
         from repro.harness.cli import main
         argv = ["figure", "5", "--samples", "3", "--jobs", "1",
