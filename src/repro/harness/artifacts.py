@@ -1,23 +1,13 @@
-"""Memoized per-(benchmark, size) analysis artifacts.
+"""Memoized per-(benchmark, size) counter-replay artifacts.
 
-Every sweep cell used to regenerate its access trace and re-run the
-abstract interpreter from scratch, even though those artifacts depend
-only on the (benchmark, size, trace-length) shape — not on the device
-or the measurement protocol.  This module computes them once per
-shape and shares them at two levels:
-
-* an **in-process LRU memo** (a handful of entries; a full matrix
-  sweeps every device of one (benchmark, size) back to back), which
-  also serves pool workers, each of which touches few shapes;
-* the **content-addressed persistent layer** of the
-  :class:`~repro.harness.sweep.SweepCache`
-  (``<root>/analysis/<key[:2]>/<key>.npz``), written only by the
-  parent sweep process, so repeated sweeps pay the ``absint`` phase
-  zero times.
-
-The artifact key is a SHA-256 over (artifact version, benchmark,
-size, trace length) — the same invalidation-by-addressing discipline
-as the result cache.
+Every sweep cell replays a representative access trace through the
+PAPI counter simulator.  The trace depends only on the (benchmark,
+size, trace-length) shape — not on the device or the measurement
+protocol — so this module builds it once per shape and keeps it in a
+small **in-process LRU memo** keyed by that tuple (a full matrix
+sweeps every device of one (benchmark, size) back to back; pool
+workers each touch few shapes).  Nothing is persisted: rebuilding a
+shape's trace is cheaper than reading it back from disk.
 
 :func:`simulate_cell_counters` replays the memoized traces through
 the PAPI counter simulator (scaled-hierarchy technique shared with
@@ -30,8 +20,6 @@ geometry prefix.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,11 +28,6 @@ from ..devices.specs import DeviceSpec
 from ..dwarfs.registry import get_benchmark
 from ..telemetry.metrics import default_registry
 from ..telemetry.tracer import get_tracer
-
-#: Stamp mixed into every artifact key; bump when the artifact layout
-#: or the synthetic branch-trace model changes (version history:
-#: docs/formats.md).
-ARTIFACT_VERSION = "3"
 
 #: Trace length replayed per cell (matches repro.sizing.verify).
 DEFAULT_TRACE_LEN = 120_000
@@ -59,63 +42,42 @@ _BRANCH_PC = 0x400000
 _BRANCH_PERIOD = 64
 
 
+def branch_trace(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The synthetic ``(pcs, outcomes)`` branch trace of ``n`` branches."""
+    pcs = np.full(n, _BRANCH_PC, dtype=np.int64)
+    outcomes = (np.arange(n, dtype=np.int64) % _BRANCH_PERIOD
+                != _BRANCH_PERIOD - 1)
+    return pcs, outcomes
+
+
 @dataclass(frozen=True)
 class CellArtifacts:
-    """Analysis artifacts shared by every device cell of one shape."""
+    """The counter-replay inputs shared by every device cell of one shape."""
 
     benchmark: str
     size: str
     trace_len: int
     #: Declared device footprint (``Benchmark.footprint_bytes``).
     footprint_bytes: int
-    #: Abstract-interpretation working set of the launch model.
-    static_bytes: int
-    #: Per-kernel, per-parameter stride classes from the IR pipeline.
-    strides: dict = field(repr=False)
     #: Representative memory-access trace (int64 byte addresses).
     trace: np.ndarray = field(repr=False)
-    #: Synthetic branch trace (parallel pc/outcome arrays).
-    branch_pcs: np.ndarray = field(repr=False)
-    branch_outcomes: np.ndarray = field(repr=False)
-
-
-def artifact_key(benchmark: str, size: str,
-                 trace_len: int = DEFAULT_TRACE_LEN) -> str:
-    """Content hash (SHA-256 hex) addressing one artifact shape."""
-    material = json.dumps(
-        {"artifact_version": ARTIFACT_VERSION, "benchmark": benchmark,
-         "size": size, "trace_len": trace_len},
-        sort_keys=True)
-    return hashlib.sha256(material.encode()).hexdigest()
 
 
 def _compute(benchmark: str, size: str, trace_len: int) -> CellArtifacts:
-    """Generate the artifacts for one shape (the ``absint`` cost)."""
-    from ..analysis.absint import static_footprint
+    """Generate the artifacts for one shape."""
     from ..analysis.accessmodel import resolve_access_trace
 
-    cls = get_benchmark(benchmark)
-    bench = cls.from_size(size)
-    with get_tracer().span("cell_artifacts", phase="absint",
+    bench = get_benchmark(benchmark).from_size(size)
+    with get_tracer().span("cell_artifacts", phase="cache_sim",
                            benchmark=benchmark, size=size):
         trace = np.asarray(
             resolve_access_trace(bench, max_len=trace_len), dtype=np.int64)
-        footprint = static_footprint(bench.static_launches())
-        n = int(trace.size)
-        branch_pcs = np.full(n, _BRANCH_PC, dtype=np.int64)
-        branch_outcomes = (
-            (np.arange(n, dtype=np.int64) % _BRANCH_PERIOD)
-            != _BRANCH_PERIOD - 1)
         return CellArtifacts(
             benchmark=benchmark, size=size, trace_len=trace_len,
-            footprint_bytes=int(bench.footprint_bytes()),
-            static_bytes=int(footprint.total_bytes),
-            strides=footprint.strides, trace=trace,
-            branch_pcs=branch_pcs, branch_outcomes=branch_outcomes,
-        )
+            footprint_bytes=int(bench.footprint_bytes()), trace=trace)
 
 
-_memo: dict[str, CellArtifacts] = {}
+_memo: dict[tuple[str, str, int], CellArtifacts] = {}
 
 
 def clear_memo() -> None:
@@ -129,28 +91,13 @@ def clear_memo() -> None:
 
 
 def get_cell_artifacts(benchmark: str, size: str,
-                       trace_len: int = DEFAULT_TRACE_LEN,
-                       cache=None) -> CellArtifacts:
-    """Fetch (or compute) the artifacts for one shape.
-
-    Lookup order: in-process memo, then the persistent ``cache``
-    (any object with ``get_artifact``/``put_artifact``, i.e. a
-    :class:`~repro.harness.sweep.SweepCache`), then a fresh
-    computation — which is written back to both layers.
-    """
-    key = artifact_key(benchmark, size, trace_len)
-    artifacts = _memo.get(key)
-    if artifacts is not None:
-        _memo.pop(key)
-        _memo[key] = artifacts  # refresh LRU position
-        return artifacts
-    if cache is not None:
-        artifacts = cache.get_artifact(key)
+                       trace_len: int = DEFAULT_TRACE_LEN) -> CellArtifacts:
+    """Fetch (or compute) the artifacts for one shape from the LRU memo."""
+    key = (benchmark, size, trace_len)
+    artifacts = _memo.pop(key, None)
     if artifacts is None:
         artifacts = _compute(benchmark, size, trace_len)
-        if cache is not None:
-            cache.put_artifact(key, artifacts)
-    _memo[key] = artifacts
+    _memo[key] = artifacts  # newest LRU position
     while len(_memo) > _MEMO_MAX:
         _memo.pop(next(iter(_memo)))
     return artifacts
@@ -204,8 +151,8 @@ def _replay_for(artifacts: CellArtifacts) -> _CounterReplay:
     if trace.size:
         tlb.access_many(trace)
     branch = BranchPredictor()
-    if artifacts.branch_pcs.size:
-        branch.run_trace(artifacts.branch_pcs, artifacts.branch_outcomes)
+    if trace.size:
+        branch.run_trace(*branch_trace(int(trace.size)))
     replay = _replay = _CounterReplay(
         artifacts=artifacts,
         factor=min(1.0, touched_bytes(trace)

@@ -162,8 +162,8 @@ def energy_samples(
     return mean_power_w(spec, utilization) * times_s
 
 
-def run_benchmark(config: RunConfig, runlog: RunLog | None = None,
-                  artifact_cache=None) -> RunResult:
+def run_benchmark(config: RunConfig,
+                  runlog: RunLog | None = None) -> RunResult:
     """Measure one (benchmark, size, device) group.
 
     Parameters
@@ -172,10 +172,6 @@ def run_benchmark(config: RunConfig, runlog: RunLog | None = None,
         The cell to measure.
     runlog : RunLog, optional
         Explicit JSONL run log (default: the process-global one).
-    artifact_cache : optional
-        Persistent store for the per-(benchmark, size) analysis
-        artifacts (a :class:`~repro.harness.sweep.SweepCache`); the
-        in-process memo is always consulted first.
     """
     from .artifacts import get_cell_artifacts, simulate_cell_counters
 
@@ -250,8 +246,7 @@ def run_benchmark(config: RunConfig, runlog: RunLog | None = None,
         # RNG-free, so adding this step cannot shift the timing samples.
         with tracer.span("counter_sim", benchmark=config.benchmark,
                          size=config.size):
-            artifacts = get_cell_artifacts(config.benchmark, config.size,
-                                           cache=artifact_cache)
+            artifacts = get_cell_artifacts(config.benchmark, config.size)
             counters = simulate_cell_counters(spec, artifacts)
 
         if tracemalloc.is_tracing():

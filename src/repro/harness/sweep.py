@@ -24,9 +24,9 @@ This module also owns what happens to a cell once its key is known,
 for both drivers — :func:`run_sweep` and the ``repro serve`` engine
 (:mod:`repro.service.jobs`):
 
-* :meth:`SweepCache.get` / :meth:`SweepCache.put` (and the artifact
-  pair) share one read path, where any failure is a logged miss, and
-  one write path, where a backend failure is logged and swallowed;
+* :meth:`SweepCache.get` reads an entry, where any failure is a
+  logged miss, and :meth:`SweepCache.put` writes one, where a backend
+  failure is logged and swallowed;
 * :func:`adopt_cell` folds a worker's reply into this process: its
   JSONL records (tagged with the worker PID) into the run log, its
   metric snapshot into the registry, its spans under one per-cell span;
@@ -208,7 +208,7 @@ def _encode_result_entry(entry: dict) -> bytes:
 
     The timing/energy sample arrays — the bulk of every entry — are
     stored as real numpy arrays; the rest of the envelope rides in a
-    single JSON ``meta`` string, mirroring the analysis-artifact layer.
+    single JSON ``meta`` string.
     """
     payload = dict(entry["result"])
     times = np.asarray(payload.pop("times_s"), dtype=float)
@@ -230,7 +230,7 @@ def _decode_result_entry(blob: bytes) -> dict:
 
     npz blobs (zip magic) are the canonical format; anything else is
     parsed as a legacy format-1 JSON envelope.  Raises one of
-    :data:`_CORRUPT` on torn or alien bytes — :meth:`SweepCache._read`
+    :data:`_CORRUPT` on torn or alien bytes — :meth:`SweepCache.get`
     maps that to a logged miss.
     """
     if blob[:2] == b"PK":  # zip magic: the npz envelope
@@ -267,52 +267,6 @@ def _degraded_counter():
         "Cache reads served as a miss and writes dropped, by reason")
 
 
-def _encode_artifacts(artifacts) -> bytes:
-    """Serialise :class:`~repro.harness.artifacts.CellArtifacts` to npz.
-
-    The trace and branch arrays are stored as numpy arrays; the scalar
-    fields ride in one JSON ``meta`` string, like the result envelope.
-    """
-    meta = json.dumps({
-        "benchmark": artifacts.benchmark,
-        "size": artifacts.size,
-        "trace_len": artifacts.trace_len,
-        "footprint_bytes": artifacts.footprint_bytes,
-        "static_bytes": artifacts.static_bytes,
-        "strides": artifacts.strides,
-    })
-    buffer = io.BytesIO()
-    np.savez_compressed(
-        buffer, meta=np.asarray(meta),
-        trace=artifacts.trace,
-        branch_pcs=artifacts.branch_pcs,
-        branch_outcomes=artifacts.branch_outcomes)
-    return buffer.getvalue()
-
-
-def _decode_artifacts(blob: bytes):
-    """Rebuild :class:`~repro.harness.artifacts.CellArtifacts` from npz.
-
-    Raises one of :data:`_CORRUPT` on torn bytes or layout drift (an
-    older ``meta`` lacking a field).
-    """
-    from .artifacts import CellArtifacts
-
-    with np.load(io.BytesIO(blob), allow_pickle=False) as data:
-        meta = json.loads(str(data["meta"]))
-        return CellArtifacts(
-            benchmark=meta["benchmark"],
-            size=meta["size"],
-            trace_len=int(meta["trace_len"]),
-            footprint_bytes=int(meta["footprint_bytes"]),
-            static_bytes=int(meta["static_bytes"]),
-            strides=meta["strides"],
-            trace=data["trace"].astype(np.int64, copy=False),
-            branch_pcs=data["branch_pcs"].astype(np.int64, copy=False),
-            branch_outcomes=data["branch_outcomes"].astype(bool, copy=False),
-        )
-
-
 class SweepCache:
     """Content-addressed store of per-cell :class:`RunResult` entries.
 
@@ -332,9 +286,7 @@ class SweepCache:
     one ``repro serve --cache-only`` instance.  Encoding lives here, so
     every backend serves byte-identical entries.
 
-    Every read goes through :meth:`_read` and every write through
-    :meth:`_write`, for results and analysis artifacts alike.  Local
-    writes are atomic (temp file + ``os.replace``) and parent shard
+    Local writes are atomic (temp file + ``os.replace``) and parent shard
     directories are created race-tolerantly, so concurrent processes
     sharing a store never observe torn entries; torn *content* (a
     truncated npz from a crashed legacy writer, a corrupt remote blob)
@@ -357,27 +309,34 @@ class SweepCache:
             else "remote", op=op, reason=reason)
 
     # ------------------------------------------------------------------
-    def _local_path(self, kind: str, key: str) -> Path:
+    def path_for(self, key: str) -> Path:
+        """Where a local backend stores ``key`` (whether or not it exists).
+
+        Only meaningful for :class:`LocalCacheBackend` storage; remote
+        stores have no client-visible paths.
+        """
         if not isinstance(self.backend, LocalCacheBackend):
             raise TypeError(
                 f"{self.backend.describe()} has no local entry paths")
-        return self.backend.path_for(kind, key)
+        return self.backend.path_for("result", key)
 
-    def _read(self, kind: str, key: str, decode, span: str):
-        """``decode(blob)`` of ``kind``/``key``, or ``None`` on a miss.
+    def get(self, key: str) -> RunResult | None:
+        """Load a cached result, or ``None`` on a miss.
 
         A corrupt, torn or format-incompatible entry, and a backend
         failure (an unreachable remote store), are a miss with a logged
         warning rather than an error — a half-written file from a
         killed run must not wedge resumes.
         """
-        with get_tracer().span(span, phase="cache_io", key=key) as sp:
+        with get_tracer().span("sweep_cache_get", phase="cache_io",
+                               key=key) as sp:
             try:
-                blob = self.backend.read(kind, key)
-                value = None if blob is None else decode(blob)
+                blob = self.backend.read("result", key)
+                value = None if blob is None else result_from_payload(
+                    _decode_result_entry(blob)["result"])
             except _CORRUPT as exc:
-                _log.warning("treating %s cache entry %s as a miss "
-                             "(corrupt or unreachable): %s", kind, key, exc)
+                _log.warning("treating result cache entry %s as a miss "
+                             "(corrupt or unreachable): %s", key, exc)
                 self._degraded("read", "backend"
                                if isinstance(exc, CacheBackendError)
                                else "corrupt")
@@ -385,76 +344,33 @@ class SweepCache:
             sp.set_attribute("hit", value is not None)
             return value
 
-    def _write(self, kind: str, key: str, encode, span: str) -> Path | str:
-        """Store ``encode()`` under ``kind``/``key``.
+    def put(self, key: str, config: RunConfig,
+            result: RunResult) -> Path | str:
+        """Persist one cell's result under ``key``.
 
         Returns the entry path for local backends (the historical
         contract), the key for path-less remote backends.  A backend
         write failure is logged and swallowed — losing a cache entry
         must not take the run down.
         """
-        with get_tracer().span(span, phase="cache_io", key=key):
+        with get_tracer().span("sweep_cache_put", phase="cache_io", key=key):
             try:
-                self.backend.write(kind, key, encode())
+                self.backend.write("result", key, _encode_result_entry({
+                    "format": CACHE_FORMAT,
+                    "model_version": MODEL_VERSION,
+                    "key": key,
+                    "config": dataclasses.asdict(config),
+                    "created_unix": time.time(),
+                    "result": result_to_payload(result),
+                }))
             except CacheBackendError as exc:
-                _log.warning("sweep cache backend failed to store %s %s: %s",
-                             kind, key, exc)
+                _log.warning("sweep cache backend failed to store "
+                             "result %s: %s", key, exc)
                 self._degraded("write", "backend")
                 return key
         if isinstance(self.backend, LocalCacheBackend):
-            return self.backend.path_for(kind, key)
+            return self.backend.path_for("result", key)
         return key
-
-    # ------------------------------------------------------------------
-    def path_for(self, key: str) -> Path:
-        """Where a local backend stores ``key`` (whether or not it exists).
-
-        Only meaningful for :class:`LocalCacheBackend` storage; remote
-        stores have no client-visible paths.
-        """
-        return self._local_path("result", key)
-
-    def get(self, key: str) -> RunResult | None:
-        """Load a cached result, or ``None`` on miss/corruption."""
-        return self._read(
-            "result", key,
-            lambda blob: result_from_payload(
-                _decode_result_entry(blob)["result"]),
-            "sweep_cache_get")
-
-    def put(self, key: str, config: RunConfig,
-            result: RunResult) -> Path | str:
-        """Persist one cell's result under ``key`` (see :meth:`_write`)."""
-        return self._write("result", key, lambda: _encode_result_entry({
-            "format": CACHE_FORMAT,
-            "model_version": MODEL_VERSION,
-            "key": key,
-            "config": dataclasses.asdict(config),
-            "created_unix": time.time(),
-            "result": result_to_payload(result),
-        }), "sweep_cache_put")
-
-    # ------------------------------------------------------------------
-    # Analysis artifacts (repro.harness.artifacts), stored alongside
-    # the results under <root>/analysis/<key[:2]>/<key>.npz.
-    # ------------------------------------------------------------------
-    def artifact_path_for(self, key: str) -> Path:
-        """Where a local backend stores the artifact for ``key``."""
-        return self._local_path("artifact", key)
-
-    def get_artifact(self, key: str):
-        """Load cached :class:`~repro.harness.artifacts.CellArtifacts`.
-
-        Corruption or layout drift is a miss, exactly like :meth:`get`.
-        """
-        return self._read("artifact", key, _decode_artifacts,
-                          "sweep_cache_get_artifact")
-
-    def put_artifact(self, key: str, artifacts) -> Path | str:
-        """Persist one shape's artifacts under ``key`` (like :meth:`put`)."""
-        return self._write("artifact", key,
-                           lambda: _encode_artifacts(artifacts),
-                           "sweep_cache_put_artifact")
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -763,8 +679,7 @@ def run_sweep(
         if jobs == 1:
             for i in pending:
                 with tracer.span("sweep_cell", **cell_attrs(i, False)):
-                    result = run_benchmark(configs[i], runlog=runlog,
-                                           artifact_cache=cache)
+                    result = run_benchmark(configs[i], runlog=runlog)
                 finish(i, result)
         elif pending:
             trace_ctx = tracer.propagation_context()

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import base64
 import json
+import re
 
 #: Wire schema version.  Bump on any incompatible record change.
 PROTOCOL_VERSION = 1
@@ -63,9 +64,14 @@ CACHE_REQUEST_TYPES = frozenset({
     "ping", "metrics", "shutdown",
 })
 
-#: Blob kinds the cache protocol addresses (the two layers of the
-#: sweep store: result entries and analysis artifacts).
-CACHE_KINDS = ("result", "artifact")
+#: Blob kinds the cache protocol addresses: the sweep store holds
+#: result entries only.
+CACHE_KINDS = ("result",)
+
+#: A cache ``key`` is a content address: 64 lowercase hex characters,
+#: as ``cell_key`` makes.  Anything else (``..``, a separator, an
+#: absolute path) could name a file outside the store's root.
+_CACHE_KEY = re.compile(r"[0-9a-f]{64}")
 
 
 class ProtocolError(ValueError):
@@ -134,8 +140,9 @@ def validate_request(record: dict, cache_only: bool = False) -> str | None:
     if rtype in ("cache_get", "cache_put", "cache_delete"):
         if record.get("kind") not in CACHE_KINDS:
             return f"cache kind must be one of {CACHE_KINDS}"
-        if not isinstance(record.get("key"), str):
-            return f"{rtype} requires a string `key` field"
+        key = record.get("key")
+        if not (isinstance(key, str) and _CACHE_KEY.fullmatch(key)):
+            return f"{rtype} requires a `key` of 64 lowercase hex characters"
     if rtype == "cache_keys" and record.get("kind") not in CACHE_KINDS:
         return f"cache kind must be one of {CACHE_KINDS}"
     if rtype == "cache_put" and not isinstance(record.get("data"), str):

@@ -7,11 +7,10 @@ extracted here behind a minimal byte-oriented protocol:
 
 * :class:`CacheBackend` — the contract: opaque blobs addressed by
   ``(kind, key)`` where ``kind`` is ``"result"`` (per-cell
-  :class:`~repro.harness.runner.RunResult` entries) or ``"artifact"``
-  (per-shape analysis artifacts) and ``key`` is the SHA-256
-  content address.  Backends move bytes; *encoding* (npz layout,
-  format stamps, corruption handling) stays in ``SweepCache`` so every
-  backend serves byte-identical entries.
+  :class:`~repro.harness.runner.RunResult` entries, the one kind) and
+  ``key`` is the SHA-256 content address.  Backends move bytes;
+  *encoding* (npz layout, format stamps, corruption handling) stays in
+  ``SweepCache`` so every backend serves byte-identical entries.
 * :class:`LocalCacheBackend` — the on-disk layout: sharded
   ``<root>/<key[:2]>/<key>.npz`` entries (``docs/formats.md``) with
   atomic writes, plus transparent reads of the two legacy layouts
@@ -98,15 +97,16 @@ class CacheBackend(Protocol):
 class LocalCacheBackend:
     """Sharded on-disk blob store (the default backend).
 
-    Canonical entry paths::
+    Canonical entry path::
 
         result   <root>/<key[:2]>/<key>.npz
-        artifact <root>/analysis/<key[:2]>/<key>.npz
 
     ``read`` additionally consults the legacy *result* layouts written
     by earlier releases — sharded ``<key[:2]>/<key>.json`` and flat
     ``<key>.json`` — so an existing cache keeps serving hits across
-    the layout change; new writes always use the npz layout.
+    the layout change; new writes always use the npz layout.  An
+    ``analysis/`` subtree left by older releases is never read, listed
+    or deleted.
 
     Writes are atomic: parent directories are created race-tolerantly
     (``exist_ok=True`` — two processes sharing a store may shard
@@ -126,13 +126,10 @@ class LocalCacheBackend:
     def path_for(self, kind: str, key: str) -> Path:
         """The canonical (npz) path for ``(kind, key)``."""
         _check_kind(kind)
-        base = self.root / "analysis" if kind == "artifact" else self.root
-        return base / key[:2] / f"{key}.npz"
+        return self.root / key[:2] / f"{key}.npz"
 
     def legacy_paths(self, kind: str, key: str) -> list[Path]:
         """Older result layouts consulted on read, newest first."""
-        if kind != "result":
-            return []
         return [self.root / key[:2] / f"{key}.json",
                 self.root / f"{key}.json"]
 
@@ -166,7 +163,7 @@ class LocalCacheBackend:
 
     def keys(self, kind: str) -> list[str]:
         _check_kind(kind)
-        return sorted({path.stem for path in self._entry_paths(kind)})
+        return sorted({path.stem for path in self._entry_paths()})
 
     def delete(self, kind: str, key: str) -> bool:
         existed = False
@@ -180,18 +177,11 @@ class LocalCacheBackend:
         return str(self.root)
 
     # ------------------------------------------------------------------
-    def _entry_paths(self, kind: str) -> Iterator[Path]:
-        if kind == "artifact":
-            yield from (self.root / "analysis").glob("*/*.npz")
-            return
-        # result entries: canonical npz shards, then both legacy layouts;
-        # the analysis/ subtree is a different key space and is excluded.
-        for path in self.root.glob("*/*.npz"):
-            if path.parent.name != "analysis":
-                yield path
-        for path in self.root.glob("*/*.json"):
-            if path.parent.name != "analysis":
-                yield path
+    def _entry_paths(self) -> Iterator[Path]:
+        # Canonical npz shards, then both legacy layouts.  Two-level
+        # globs never reach analysis/<xx>/<key>.npz.
+        yield from self.root.glob("*/*.npz")
+        yield from self.root.glob("*/*.json")
         yield from self.root.glob("*.json")
 
     def __repr__(self) -> str:

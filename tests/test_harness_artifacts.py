@@ -1,10 +1,10 @@
-"""Memoized analysis artifacts and the per-cell counter simulation.
+"""Memoized counter-replay artifacts and the per-cell counter simulation.
 
-Covers the content-addressed artifact key, the in-process memo and
-the SweepCache npz persistence layer (round-trip, corruption-as-miss),
-the determinism and JSON-nativeness of ``simulate_cell_counters``,
-its per-geometry replay against the ``PapiEventSet`` oracle, and the
-``counters`` field riding along in cached sweep payloads.
+Covers the in-process memo keyed by the (benchmark, size, trace
+length) shape, the determinism and JSON-nativeness of
+``simulate_cell_counters``, its per-geometry replay against the
+``PapiEventSet`` oracle, and the ``counters`` field riding along in
+cached sweep payloads.
 """
 
 from __future__ import annotations
@@ -25,19 +25,13 @@ from repro.devices import get_device
 from repro.devices.catalog import device_names
 from repro.harness import artifacts as art
 from repro.harness.artifacts import (
-    ARTIFACT_VERSION,
-    CellArtifacts,
-    artifact_key,
+    branch_trace,
     clear_memo,
     get_cell_artifacts,
     simulate_cell_counters,
 )
-from repro.harness.runner import RunConfig, RunResult, run_benchmark
-from repro.harness.sweep import (
-    SweepCache,
-    result_from_payload,
-    result_to_payload,
-)
+from repro.harness.runner import RunConfig, run_benchmark
+from repro.harness.sweep import result_from_payload, result_to_payload
 from repro.sizing.verify import scaled_spec, touched_bytes
 from repro.telemetry.metrics import default_registry
 
@@ -47,24 +41,6 @@ def _fresh_memo():
     clear_memo()
     yield
     clear_memo()
-
-
-# ----------------------------------------------------------------------
-# Keys
-# ----------------------------------------------------------------------
-def test_artifact_key_is_stable_and_discriminating():
-    k = artifact_key("csr", "tiny")
-    assert k == artifact_key("csr", "tiny")
-    assert len(k) == 64 and set(k) <= set("0123456789abcdef")
-    assert k != artifact_key("csr", "small")
-    assert k != artifact_key("fft", "tiny")
-    assert k != artifact_key("csr", "tiny", trace_len=10)
-
-
-def test_artifact_key_depends_on_version(monkeypatch):
-    before = artifact_key("csr", "tiny")
-    monkeypatch.setattr(art, "ARTIFACT_VERSION", ARTIFACT_VERSION + "-next")
-    assert artifact_key("csr", "tiny") != before
 
 
 # ----------------------------------------------------------------------
@@ -85,9 +61,17 @@ def test_get_cell_artifacts_memoizes(monkeypatch):
     assert calls == [("csr", "tiny")]
     assert first.trace.dtype == np.int64
     assert first.trace.size <= 512
-    assert first.branch_pcs.shape == first.branch_outcomes.shape
     assert first.footprint_bytes > 0
-    assert isinstance(first.static_bytes, int) and first.static_bytes > 0
+
+
+def test_memo_key_is_the_shape_tuple():
+    first = get_cell_artifacts("csr", "tiny", trace_len=512)
+    assert list(art._memo) == [("csr", "tiny", 512)]
+    assert get_cell_artifacts("csr", "tiny", trace_len=512) is first
+    for shape in (("csr", "small", 512), ("fft", "tiny", 512),
+                  ("csr", "tiny", 10)):
+        assert get_cell_artifacts(*shape) is not first
+    assert len(art._memo) == 4
 
 
 def test_memo_is_bounded(monkeypatch):
@@ -96,92 +80,7 @@ def test_memo_is_bounded(monkeypatch):
         get_cell_artifacts("crc", size, trace_len=256)
     assert len(art._memo) == 2
     # Oldest shape (tiny) was trimmed; newest two remain.
-    assert artifact_key("crc", "tiny", 256) not in art._memo
-
-
-# ----------------------------------------------------------------------
-# SweepCache persistence
-# ----------------------------------------------------------------------
-def _equal_artifacts(a: CellArtifacts, b: CellArtifacts) -> bool:
-    return (
-        (a.benchmark, a.size, a.trace_len,
-         a.footprint_bytes, a.static_bytes, a.strides)
-        == (b.benchmark, b.size, b.trace_len,
-            b.footprint_bytes, b.static_bytes, b.strides)
-        and np.array_equal(a.trace, b.trace)
-        and np.array_equal(a.branch_pcs, b.branch_pcs)
-        and np.array_equal(a.branch_outcomes, b.branch_outcomes)
-    )
-
-
-def test_artifact_npz_round_trip(tmp_path):
-    cache = SweepCache(tmp_path)
-    original = get_cell_artifacts("csr", "tiny", trace_len=512)
-    key = artifact_key("csr", "tiny", 512)
-    path = cache.put_artifact(key, original)
-    assert path == cache.artifact_path_for(key)
-    assert path.suffix == ".npz"
-    loaded = cache.get_artifact(key)
-    assert loaded is not None
-    assert _equal_artifacts(loaded, original)
-
-
-def test_artifact_cache_feeds_the_memo(tmp_path, monkeypatch):
-    cache = SweepCache(tmp_path)
-    key = artifact_key("csr", "tiny", 512)
-    cache.put_artifact(key, get_cell_artifacts("csr", "tiny", trace_len=512))
-    clear_memo()
-
-    def explode(*_args):  # a warm cache must not recompute
-        raise AssertionError("recomputed despite persistent cache hit")
-
-    monkeypatch.setattr(art, "_compute", explode)
-    loaded = get_cell_artifacts("csr", "tiny", trace_len=512, cache=cache)
-    assert loaded.benchmark == "csr"
-
-
-def test_artifact_corruption_is_a_miss(tmp_path):
-    cache = SweepCache(tmp_path)
-    key = artifact_key("csr", "tiny", 512)
-    path = cache.artifact_path_for(key)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(b"not an npz archive")
-    assert cache.get_artifact(key) is None
-    assert cache.get_artifact(artifact_key("fft", "tiny")) is None  # absent
-
-
-def test_v1_artifact_meta_is_a_miss(tmp_path):
-    """Entries whose meta lacks a field (older layouts) reload as a miss."""
-    cache = SweepCache(tmp_path)
-    original = get_cell_artifacts("csr", "tiny", trace_len=512)
-    key = artifact_key("csr", "tiny", 512)
-    path = cache.put_artifact(key, original)
-    with np.load(path, allow_pickle=False) as data:
-        meta = json.loads(str(data["meta"]))
-        arrays = {k: data[k] for k in ("trace", "branch_pcs",
-                                       "branch_outcomes")}
-    del meta["strides"]
-    np.savez_compressed(path, meta=np.asarray(json.dumps(meta)), **arrays)
-    assert cache.get_artifact(key) is None
-
-
-def test_torn_artifact_npz_is_a_miss(tmp_path):
-    """Half an npz (zip magic intact) is a miss, as for result entries."""
-    cache = SweepCache(tmp_path)
-    key = artifact_key("csr", "tiny", 512)
-    path = cache.put_artifact(key, get_cell_artifacts("csr", "tiny",
-                                                      trace_len=512))
-    blob = path.read_bytes()
-    path.write_bytes(blob[: len(blob) // 2])
-    assert cache.get_artifact(key) is None
-
-
-def test_result_cache_len_ignores_artifacts(tmp_path):
-    cache = SweepCache(tmp_path)
-    assert len(cache) == 0
-    cache.put_artifact(artifact_key("csr", "tiny", 512),
-                       get_cell_artifacts("csr", "tiny", trace_len=512))
-    assert len(cache) == 0
+    assert list(art._memo) == [("crc", "small", 256), ("crc", "medium", 256)]
 
 
 # ----------------------------------------------------------------------
@@ -194,7 +93,7 @@ def test_simulate_cell_counters_is_deterministic_and_json_native():
     second = simulate_cell_counters(spec, artifacts)
     assert first == second
     assert first["PAPI_TOT_INS"] > 0
-    assert first["PAPI_BR_INS"] == int(artifacts.branch_pcs.size)
+    assert first["PAPI_BR_INS"] == int(artifacts.trace.size)
     for name, value in first.items():
         assert type(value) is int, name
     json.dumps(first)
@@ -216,9 +115,7 @@ def _oracle_counters(spec, artifacts) -> dict[str, int]:
     events.start()
     if artifacts.trace.size:
         events.record_memory_trace(artifacts.trace)
-    if artifacts.branch_pcs.size:
-        events.record_branch_trace(artifacts.branch_pcs,
-                                   artifacts.branch_outcomes)
+        events.record_branch_trace(*branch_trace(int(artifacts.trace.size)))
     return {name: int(value)
             for name, value in events.stop().counts.items()}
 
@@ -345,10 +242,10 @@ def test_counter_levels_metric_counts_replays_and_reuse():
     assert 'outcome="reused"' in default_registry().expose()
 
 
-def test_run_benchmark_attaches_counters(tmp_path):
+def test_run_benchmark_attaches_counters():
     config = RunConfig(benchmark="crc", size="tiny", device="i7-6700K",
                        samples=3, min_loop_seconds=0.0)
-    result = run_benchmark(config, artifact_cache=SweepCache(tmp_path))
+    result = run_benchmark(config)
     assert result.counters is not None
     assert result.counters["PAPI_TOT_INS"] > 0
     json.dumps(result.counters)

@@ -10,6 +10,7 @@ Acceptance pins for ISSUE 2's tentpole:
   computing the missing cells — counter-verified.
 """
 
+import hashlib
 import importlib
 import json
 import os
@@ -18,6 +19,7 @@ import signal
 import numpy as np
 import pytest
 
+from repro.harness.artifacts import clear_memo
 from repro.harness.runner import RunConfig, cell_seed, run_benchmark, run_matrix
 from repro.harness import sweep as crossover_sweep_function  # legacy name
 from repro.harness.sweep import (
@@ -240,6 +242,47 @@ class TestSweepCache:
         path = cache.path_for(key)
         assert path == tmp_path / key[:2] / f"{key}.npz"
         assert path.exists()
+
+    def test_sweep_persists_results_only(self, tmp_path):
+        """A cached sweep writes no ``analysis/`` tree, and a rerun
+        restores every cell, payloads unchanged."""
+        cache = SweepCache(tmp_path)
+        configs = _configs()
+        first = run_sweep(configs, jobs=1, cache=cache)
+        assert not (tmp_path / "analysis").exists()
+        clear_memo()
+        second = run_sweep(configs, jobs=1, cache=cache)
+        assert (second.computed, second.cached) == (0, len(configs))
+        assert ([result_to_payload(r) for r in second.results]
+                == [result_to_payload(r) for r in first.results])
+        assert not (tmp_path / "analysis").exists()
+
+    def test_root_with_analysis_subtree_still_serves(self, tmp_path):
+        """A root written by older releases — result shards plus an
+        ``analysis/<xx>/<key>.npz`` artifact tree — keeps serving its
+        results; the stale tree is neither counted nor cleared."""
+        cache = SweepCache(tmp_path)
+        configs = _configs()[:2]
+        first = run_sweep(configs, jobs=1, cache=cache)
+        key = hashlib.sha256(json.dumps(
+            {"artifact_version": "3", "benchmark": "fft", "size": "tiny",
+             "trace_len": 120_000}, sort_keys=True).encode()).hexdigest()
+        stale = tmp_path / "analysis" / key[:2] / f"{key}.npz"
+        stale.parent.mkdir(parents=True)
+        np.savez_compressed(
+            stale, meta=np.asarray(json.dumps({"benchmark": "fft"})),
+            trace=np.arange(64, dtype=np.int64),
+            branch_pcs=np.zeros(64, dtype=np.int64),
+            branch_outcomes=np.ones(64, dtype=bool))
+        blob = stale.read_bytes()
+        assert len(cache) == 2
+        second = run_sweep(configs, jobs=1, cache=cache)
+        assert (second.computed, second.cached) == (0, 2)
+        assert ([result_to_payload(r) for r in second.results]
+                == [result_to_payload(r) for r in first.results])
+        assert cache.clear() == 2
+        assert len(cache) == 0
+        assert stale.read_bytes() == blob
 
     def test_clear(self, tmp_path):
         cache = SweepCache(tmp_path)

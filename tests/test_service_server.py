@@ -225,6 +225,23 @@ class TestCacheTopology:
             assert backend.read("result", "ab" * 32) == b"blob"
 
 
+    def test_key_escaping_the_root_is_refused(self, tmp_path):
+        """A traversal ``cache_put`` is an error record, not a write."""
+        from repro.service.protocol import blob_to_wire
+
+        root = tmp_path / "store" / "hub"  # ../escaped lands in tmp_path
+        with service_running(cache_only=True,
+                             cache=SweepCache(root)) as service:
+            with ServiceClient("127.0.0.1", service.port) as client:
+                for key in ("../escaped", str(tmp_path / "abs")):
+                    client.send({"type": "cache_put", "kind": "result",
+                                 "key": key, "data": blob_to_wire(b"x")})
+                    reply = client.read()
+                    assert reply["type"] == "error"
+                    assert "64 lowercase hex" in reply["error"]
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["hub", "store"]
+
+
 class TestShutdown:
     def test_shutdown_record_drains_the_server(self):
         with service_running(jobs=1) as service:

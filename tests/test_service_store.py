@@ -69,6 +69,21 @@ class TestProtocol:
             {"type": "cache_get", "kind": "bogus", "key": "k"}) is not None
         assert validate_request(
             {"type": "cache_put", "kind": "result", "key": "k"}) is not None
+        assert validate_request(
+            {"type": "cache_get", "kind": "artifact",
+             "key": "ab" * 32}) is not None
+
+    @pytest.mark.parametrize("key", [
+        "../x", "/etc/passwd", "ab" * 31 + "a", "AB" * 32,
+        "../" + "a" * 61, None, 7])
+    def test_validate_rejects_non_content_address_keys(self, key):
+        for rtype in ("cache_get", "cache_put", "cache_delete"):
+            record = {"type": rtype, "kind": "result", "key": key,
+                      "data": blob_to_wire(b"x")}
+            assert "64 lowercase hex" in validate_request(record), rtype
+        good = {"type": "cache_put", "kind": "result", "key": "0f" * 32,
+                "data": blob_to_wire(b"x")}
+        assert validate_request(good) is None
 
     def test_blob_wire_roundtrip(self):
         blob = bytes(range(256))
@@ -88,9 +103,8 @@ class TestLocalCacheBackend:
         key = "abcdef" + "0" * 58
         backend.write("result", key, b"result-bytes")
         assert (tmp_path / "ab" / f"{key}.npz").read_bytes() == b"result-bytes"
-        backend.write("artifact", key, b"artifact-bytes")
-        assert (tmp_path / "analysis" / "ab" /
-                f"{key}.npz").read_bytes() == b"artifact-bytes"
+        assert sorted(p.name for p in tmp_path.rglob("*")) == [
+            "ab", f"{key}.npz"]
 
     def test_read_miss_returns_none(self, tmp_path):
         backend = LocalCacheBackend(tmp_path)
@@ -171,11 +185,15 @@ class TestLocalCacheBackend:
         assert backend.delete("result", key) is False
 
     def test_keys_excludes_artifacts(self, tmp_path):
+        """An ``analysis/`` subtree left by older releases is not listed."""
         backend = LocalCacheBackend(tmp_path)
         backend.write("result", "aa" + "5" * 62, b"r")
-        backend.write("artifact", "bb" + "6" * 62, b"a")
+        stale = tmp_path / "analysis" / "bb" / f"{'bb' + '6' * 62}.npz"
+        stale.parent.mkdir(parents=True)
+        stale.write_bytes(b"a")
         assert backend.keys("result") == ["aa" + "5" * 62]
-        assert backend.keys("artifact") == ["bb" + "6" * 62]
+        with pytest.raises(ValueError):
+            backend.keys("artifact")
 
     def test_kind_checked(self, tmp_path):
         backend = LocalCacheBackend(tmp_path)
