@@ -12,7 +12,11 @@ the same cell, and asserts the service's headline guarantees:
    merged Perfetto trace with `service_job` spans, a Prometheus
    metrics snapshot with the service instruments, and a job log that
    holds one `cell_computed` record per computed cell and renders
-   into the results board.
+   into the results board;
+5. a server on `--cache-dir remote://` of a `--cache-only` hub keeps
+   its cache hits across a hub restart on the same port and store:
+   the cell asked for again is `cached: true` and no cache operation
+   is counted as degraded.
 
 Run from the repository root:  PYTHONPATH=src python scripts/service_smoke.py
 """
@@ -51,6 +55,80 @@ def metric_value(text: str, name: str) -> float:
     return total if seen else -1.0
 
 
+def launch(workdir: Path, port_file: Path, *flags: str) -> tuple:
+    """Start `repro serve FLAGS`; return the process and its port."""
+    port_file.unlink(missing_ok=True)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve",
+         "--port-file", str(port_file), *flags],
+        cwd=REPO, env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin",
+                       "HOME": str(workdir)},
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+    deadline = time.time() + TIMEOUT_S
+    while not port_file.exists() and time.time() < deadline:
+        if proc.poll() is not None:
+            fail(f"server died on startup:\n{proc.stdout.read()}")
+        time.sleep(0.05)
+    if not port_file.exists():
+        proc.kill()
+        fail(f"server {flags} never wrote the port file")
+    return proc, int(port_file.read_text().strip())
+
+
+def shut_down(proc, port: int, what: str) -> None:
+    """Ask a server to shut down; fail unless it exits 0 in time."""
+    with ServiceClient("127.0.0.1", port, timeout_s=TIMEOUT_S) as client:
+        client.shutdown()
+    try:
+        code = proc.wait(timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        fail(f"{what} did not drain within the timeout")
+    if code != 0:
+        fail(f"{what} exited {code}:\n{proc.stdout.read()}")
+
+
+def hub_restart_leg(workdir: Path) -> None:
+    """A served cell stays a cache hit across a restart of its hub."""
+    store = str(workdir / "hub-store")
+    hub, hub_port = launch(workdir, workdir / "hub.port", "--cache-only",
+                           "--port", "0", "--cache-dir", store)
+    server = None
+    try:
+        server, port = launch(workdir, workdir / "remote.port",
+                              "--port", "0", "--jobs", "1", "--cache-dir",
+                              f"remote://127.0.0.1:{hub_port}")
+        with ServiceClient("127.0.0.1", port,
+                           timeout_s=TIMEOUT_S) as client:
+            first = client.run_cell("fft", "tiny", DEVICE, samples=SAMPLES)
+            if first["status"] != "done" or first["cached"]:
+                fail(f"first request on the hub not computed: status "
+                     f"{first['status']}, cached {first['cached']}")
+            shut_down(hub, hub_port, "hub")
+            hub, _ = launch(workdir, workdir / "hub.port", "--cache-only",
+                            "--port", str(hub_port), "--cache-dir", store)
+            print(f"hub restarted on port {hub_port} over the same store")
+            again = client.run_cell("fft", "tiny", DEVICE, samples=SAMPLES)
+            if again["cached"] is not True:
+                fail(f"cell asked again after the hub restart was not a "
+                     f"cache hit: cached {again['cached']}")
+            if again["result"] != first["result"]:
+                fail("the cache hit differs from the computed payload")
+            degraded = metric_value(client.metrics_text(),
+                                    "sweep_cache_degraded_total")
+            if degraded > 0.0:
+                fail(f"{degraded:.0f} cache operations degraded across "
+                     "the hub restart")
+        shut_down(server, port, "server on the hub")
+        server = None
+        shut_down(hub, hub_port, "hub")
+        print("hub restart: cached=true, no degraded cache operation")
+    finally:
+        for proc in (server, hub):
+            if proc is not None and proc.poll() is None:
+                proc.kill()
+
+
 def main() -> None:
     workdir = Path(tempfile.mkdtemp(prefix="service-smoke-"))
     port_file = workdir / "port"
@@ -58,24 +136,11 @@ def main() -> None:
     metrics_path = workdir / "serve.metrics.prom"
     job_log = workdir / "serve.jsonl"
 
-    server = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve",
-         "--port", "0", "--port-file", str(port_file),
-         "--jobs", "2", "--cache-dir", str(workdir / "cache"),
-         "--trace", str(trace_path), "--metrics", str(metrics_path),
-         "--log-jsonl", str(job_log)],
-        cwd=REPO, env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin",
-                       "HOME": str(workdir)},
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+    server, port = launch(
+        workdir, port_file, "--port", "0", "--jobs", "2",
+        "--cache-dir", str(workdir / "cache"), "--trace", str(trace_path),
+        "--metrics", str(metrics_path), "--log-jsonl", str(job_log))
     try:
-        deadline = time.time() + TIMEOUT_S
-        while not port_file.exists() and time.time() < deadline:
-            if server.poll() is not None:
-                fail(f"server died on startup:\n{server.stdout.read()}")
-            time.sleep(0.05)
-        if not port_file.exists():
-            fail("server never wrote the port file")
-        port = int(port_file.read_text().strip())
         print(f"server up on port {port}")
 
         # --- 1+2: three concurrent clients, one cell -------------------
@@ -180,6 +245,9 @@ def main() -> None:
         if not re.search(r"## Served jobs", board.stdout):
             fail("board is missing the Served jobs section")
         print("results board rendered from trajectory + job log")
+
+        # --- 5: a hub restart keeps the shared store's hits ------------
+        hub_restart_leg(workdir)
         print("service smoke: OK")
     finally:
         if server.poll() is None:

@@ -13,13 +13,20 @@ shape's trace is cheaper than reading it back from disk.
 the PAPI counter simulator (scaled-hierarchy technique shared with
 :mod:`repro.sizing.verify`), producing the per-cell counter dict the
 runner attaches to each :class:`~repro.harness.runner.RunResult`.
-It shares work across the devices of one shape: the TLB and branch
-counts once per artifacts instance, each cache level once per
-geometry prefix.
+It shares work across the devices of one shape.  The scale factor and
+the device-independent counts (TLB, branch, instructions) are a
+cached property of each artifacts instance: computed once, they live
+in the instance's memo entry and leave with it, so every order of
+cells reuses them (``run all`` walks a shape's devices back to back;
+the service interleaves shapes).  The branch counts depend only on the
+trace length and are memoized by it.  Each cache level is replayed
+once per geometry prefix, for the artifacts instance counted last.
 """
 
 from __future__ import annotations
 
+import functools
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +57,24 @@ def branch_trace(n: int) -> tuple[np.ndarray, np.ndarray]:
     return pcs, outcomes
 
 
+@functools.lru_cache(maxsize=64)
+def branch_counts(n: int) -> tuple[int, int]:
+    """``(branches, mispredictions)`` of a fresh predictor on
+    :func:`branch_trace` of ``n`` branches (memoized by ``n``)."""
+    from ..cache.branch import BranchPredictor
+
+    branch = BranchPredictor()
+    if n:
+        branch.run_trace(*branch_trace(n))
+    return int(branch.branches), int(branch.mispredictions)
+
+
+#: Instances whose counts are cached, so :func:`clear_memo` can drop
+#: them even from instances no longer in the memo (keyed by ``id``:
+#: the dataclass hash would hash the trace array).
+_counted: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 @dataclass(frozen=True)
 class CellArtifacts:
     """The counter-replay inputs shared by every device cell of one shape."""
@@ -61,6 +86,32 @@ class CellArtifacts:
     footprint_bytes: int
     #: Representative memory-access trace (int64 byte addresses).
     trace: np.ndarray = field(repr=False)
+
+    # Cached properties, not fields: a ``dataclasses.replace`` twin
+    # with another trace must not inherit this instance's counts.
+    @functools.cached_property
+    def factor(self) -> float:
+        """Hierarchy scale: touched bytes over the declared footprint."""
+        from ..sizing.verify import touched_bytes
+
+        _counted[id(self)] = self
+        return min(1.0, touched_bytes(self.trace)
+                   / max(self.footprint_bytes, 1))
+
+    @functools.cached_property
+    def base_counts(self) -> dict[str, int]:
+        """The counts that do not depend on the device."""
+        from ..cache.tlb import TLB
+
+        _counted[id(self)] = self
+        tlb = TLB(entries=64)  # PapiEventSet's default
+        if self.trace.size:
+            tlb.access_many(self.trace)
+        branches, mispredictions = branch_counts(int(self.trace.size))
+        return {"PAPI_TOT_INS": int(self.trace.size) + branches,
+                "PAPI_TLB_DM": int(tlb.stats.misses),
+                "PAPI_BR_INS": branches,
+                "PAPI_BR_MSP": mispredictions}
 
 
 def _compute(benchmark: str, size: str, trace_len: int) -> CellArtifacts:
@@ -81,11 +132,16 @@ _memo: dict[tuple[str, str, int], CellArtifacts] = {}
 
 
 def clear_memo() -> None:
-    """Drop the in-process artifact, counter-replay and IR memos."""
+    """Drop the in-process artifact, count, counter-replay and IR memos."""
     from ..analysis.absint import clear_ir_memo
 
     global _replay
     _memo.clear()
+    for artifacts in list(_counted.values()):
+        artifacts.__dict__.pop("factor", None)
+        artifacts.__dict__.pop("base_counts", None)
+    _counted.clear()
+    branch_counts.cache_clear()
     _replay = None
     clear_ir_memo()
 
@@ -105,10 +161,9 @@ def get_cell_artifacts(benchmark: str, size: str,
 
 @dataclass
 class _CounterReplay:
-    """The counter replay of one artifacts instance, shared by devices.
+    """The cache-level replay of one artifacts instance, shared by devices.
 
-    ``base`` holds the counts that do not depend on the device; each
-    entry of ``levels`` maps a geometry prefix — the ``(size_bytes,
+    Each entry of ``levels`` maps a geometry prefix — the ``(size_bytes,
     line_bytes, associativity)`` of levels ``0..i`` of the scaled,
     pow2-rounded hierarchy — to level ``i``'s ``(accesses, misses,
     miss stream)``.  A level's input stream depends only on the trace
@@ -117,8 +172,6 @@ class _CounterReplay:
     """
 
     artifacts: CellArtifacts
-    factor: float
-    base: dict[str, int]
     levels: dict = field(default_factory=dict)
 
 
@@ -136,32 +189,12 @@ def _replay_for(artifacts: CellArtifacts) -> _CounterReplay:
 
     Twins made with ``dataclasses.replace`` share benchmark, size and
     trace length but not the trace, so only the instance itself may
-    key the memo.  Computes the device-independent counts on a miss.
+    key the memo.
     """
     global _replay
-    replay = _replay
-    if replay is not None and replay.artifacts is artifacts:
-        return replay
-    from ..cache.branch import BranchPredictor
-    from ..cache.tlb import TLB
-    from ..sizing.verify import touched_bytes
-
-    trace = artifacts.trace
-    tlb = TLB(entries=64)  # PapiEventSet's default
-    if trace.size:
-        tlb.access_many(trace)
-    branch = BranchPredictor()
-    if trace.size:
-        branch.run_trace(*branch_trace(int(trace.size)))
-    replay = _replay = _CounterReplay(
-        artifacts=artifacts,
-        factor=min(1.0, touched_bytes(trace)
-                   / max(artifacts.footprint_bytes, 1)),
-        base={"PAPI_TOT_INS": int(trace.size) + branch.branches,
-              "PAPI_TLB_DM": int(tlb.stats.misses),
-              "PAPI_BR_INS": int(branch.branches),
-              "PAPI_BR_MSP": int(branch.mispredictions)})
-    return replay
+    if _replay is None or _replay.artifacts is not artifacts:
+        _replay = _CounterReplay(artifacts=artifacts)
+    return _replay
 
 
 def simulate_cell_counters(spec: DeviceSpec,
@@ -171,8 +204,8 @@ def simulate_cell_counters(spec: DeviceSpec,
     Uses the scaled-hierarchy technique of
     :func:`repro.sizing.verify.verify_benchmark_sizes` so subsampled
     traces keep the capacity relationship honest.  The TLB, branch
-    and instruction counts are computed once per artifacts instance,
-    and each cache level is replayed once per geometry prefix: the
+    and instruction counts are computed once per artifacts instance
+    (:attr:`CellArtifacts.base_counts`), and each cache level is replayed once per geometry prefix: the
     15 catalog devices share 4 distinct L1s, so most levels are
     reused.  The counts equal a fresh :class:`~repro.counters.papi.
     PapiEventSet` replay on the scaled spec, the oracle
@@ -184,7 +217,8 @@ def simulate_cell_counters(spec: DeviceSpec,
     from ..sizing.verify import scaled_spec
 
     replay = _replay_for(artifacts)
-    geometry = level_geometries(scaled_spec(spec, replay.factor))
+    base = artifacts.base_counts
+    geometry = level_geometries(scaled_spec(spec, artifacts.factor))
     walked = []
     replayed = 0
     pending = as_addresses(artifacts.trace)
@@ -213,12 +247,12 @@ def simulate_cell_counters(spec: DeviceSpec,
     level_misses = [level[1] for level in walked]
     level_misses += [0] * (_COUNTED_LEVELS - len(walked))
     return {
-        "PAPI_TOT_INS": replay.base["PAPI_TOT_INS"],
+        "PAPI_TOT_INS": base["PAPI_TOT_INS"],
         "PAPI_L1_DCM": level_misses[0],
         "PAPI_L2_DCM": level_misses[1],
         "PAPI_L3_TCM": level_misses[2],
-        "PAPI_TLB_DM": replay.base["PAPI_TLB_DM"],
-        "PAPI_BR_INS": replay.base["PAPI_BR_INS"],
-        "PAPI_BR_MSP": replay.base["PAPI_BR_MSP"],
+        "PAPI_TLB_DM": base["PAPI_TLB_DM"],
+        "PAPI_BR_INS": base["PAPI_BR_INS"],
+        "PAPI_BR_MSP": base["PAPI_BR_MSP"],
         "_L3_REQUESTS": walked[2][0] if len(walked) > 2 else 0,
     }

@@ -59,6 +59,7 @@ from pathlib import Path
 import numpy as np
 
 from ..devices.catalog import get_device
+from ..devices.specs import DeviceSpec
 from ..perfmodel.roofline import TimeBreakdown
 from ..scibench.recorder import Recorder
 from ..service.store import (
@@ -113,14 +114,30 @@ def cell_key(config: RunConfig, model_version: str | None = None) -> str:
     spec = get_device(config.device)
     fields = dataclasses.asdict(config)
     fields["device"] = spec.name
-    material = {
-        "model_version": (MODEL_VERSION if model_version is None
-                          else model_version),
-        "config": fields,
-        "device_spec": dataclasses.asdict(spec),
-    }
-    blob = json.dumps(material, sort_keys=True, default=str)
+    version = MODEL_VERSION if model_version is None else model_version
+    # The bytes of json.dumps({"config": fields, "device_spec": asdict(
+    # spec), "model_version": version}, sort_keys=True, default=str),
+    # with the spec's part dumped once per spec.
+    blob = ('{"config": ' + json.dumps(fields, sort_keys=True, default=str)
+            + ', "device_spec": ' + _device_spec_json(spec)
+            + ', "model_version": ' + json.dumps(version, default=str)
+            + "}")
     return hashlib.sha256(blob.encode()).hexdigest()
+
+
+#: ``(spec, JSON of its fields)`` by ``id(spec)``: keyed by identity
+#: because the dataclass hash and equality ignore ``extra``, and the
+#: entry holds the spec so its id is never reused.  ``cell_key`` sees
+#: only catalog specs, so this holds one entry per catalog device.
+_SPEC_JSON: dict[int, tuple[DeviceSpec, str]] = {}
+
+
+def _device_spec_json(spec: DeviceSpec) -> str:
+    held = _SPEC_JSON.get(id(spec))
+    if held is None:
+        held = _SPEC_JSON[id(spec)] = (spec, json.dumps(
+            dataclasses.asdict(spec), sort_keys=True, default=str))
+    return held[1]
 
 
 def default_cache_dir() -> Path:

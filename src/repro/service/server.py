@@ -66,6 +66,9 @@ class BenchService:
         self._server: asyncio.AbstractServer | None = None
         self._shutdown = asyncio.Event()
         self._streams: set[asyncio.Task] = set()
+        #: Writers of the open client connections.  Cache clients keep
+        #: theirs open between requests, so stop() hangs up on them.
+        self._writers: set[asyncio.StreamWriter] = set()
         self._next_subscriber = 1
 
     # ------------------------------------------------------------------
@@ -92,6 +95,8 @@ class BenchService:
     async def stop(self) -> None:
         if self._server is not None:
             self._server.close()
+            for writer in list(self._writers):
+                writer.close()
             await self._server.wait_closed()
         for task in list(self._streams):
             task.cancel()
@@ -111,6 +116,7 @@ class BenchService:
     async def _handle_connection(self, reader, writer) -> None:
         subscriber = self._next_subscriber
         self._next_subscriber += 1
+        self._writers.add(writer)
         lock = asyncio.Lock()
 
         async def send(record: dict) -> None:
@@ -146,6 +152,7 @@ class BenchService:
         finally:
             if self.engine is not None:
                 self.engine.detach_all(subscriber)
+            self._writers.discard(writer)
             writer.close()
             try:
                 await writer.wait_closed()

@@ -17,9 +17,10 @@ extracted here behind a minimal byte-oriented protocol:
   (sharded ``<key[:2]>/<key>.json`` and flat ``<key>.json``).
 * :class:`RemoteCacheBackend` — a client of a ``repro serve
   --cache-only`` instance, so multiple worker hosts share one store
-  (the GEMMbench collaborative-repository topology).  Stateless: one
-  short-lived TCP connection per operation, which keeps it trivially
-  robust to server restarts.
+  (the GEMMbench collaborative-repository topology).  It keeps one
+  TCP connection per backend and process, opened on first use, and
+  retries an operation once on a fresh connection when the reused one
+  has gone stale (the hub restarted).
 
 ``parse_backend_spec`` maps the CLI's ``--cache-dir`` argument to a
 backend: ``remote://host:port`` goes remote, anything else is a local
@@ -33,7 +34,7 @@ import os
 import socket
 import threading
 from pathlib import Path
-from typing import Iterator, Protocol, runtime_checkable
+from typing import BinaryIO, Iterator, Protocol, runtime_checkable
 
 from .protocol import (
     CACHE_KINDS,
@@ -200,43 +201,109 @@ class RemoteCacheBackend:
     fleet shares one content-addressed store — a cell computed
     anywhere is a hit everywhere.
 
-    Each operation opens a fresh TCP connection, sends one request
-    line, reads one response line and disconnects.  Failures raise
-    :class:`CacheBackendError`; ``SweepCache`` maps read failures to
-    misses, so losing the cache host costs recomputation, not
-    correctness.
+    Operations share one TCP connection, opened on first use and
+    serialised by a lock (the service calls the cache from worker
+    threads): send one request line, read one response line.  A
+    connection belongs to the process that opened it; a forked child
+    opens its own.  When a *reused* connection fails or hits EOF — the
+    hub restarted — the operation is retried once on a fresh one.
+    Any other failure raises :class:`CacheBackendError`; ``SweepCache``
+    maps read failures to misses, so losing the cache host costs
+    recomputation, not correctness.
     """
 
     def __init__(self, host: str, port: int, timeout_s: float = 10.0):
         self.host = host
         self.port = int(port)
         self.timeout_s = float(timeout_s)
+        self._pid = os.getpid()
+        self._lock = threading.Lock()
+        #: ``(socket, read stream)`` of the open connection, if any.
+        self._conn: tuple[socket.socket, BinaryIO] | None = None
 
     # ------------------------------------------------------------------
-    def _roundtrip(self, request: dict) -> dict:
+    def _open(self) -> tuple[socket.socket, BinaryIO]:
+        """A fresh connection, past the server's hello."""
         try:
-            with socket.create_connection((self.host, self.port),
-                                          timeout=self.timeout_s) as sock:
-                with sock.makefile("rwb") as stream:
-                    greeting = stream.readline()  # discard the hello
-                    if not greeting:
-                        raise CacheBackendError(
-                            f"cache server {self.host}:{self.port} closed "
-                            "the connection before greeting")
-                    stream.write(encode_record(request))
-                    stream.flush()
-                    line = stream.readline()
+            sock = socket.create_connection((self.host, self.port),
+                                            timeout=self.timeout_s)
         except OSError as exc:
             raise CacheBackendError(
                 f"cache server {self.host}:{self.port} unreachable: "
                 f"{exc}") from exc
-        if not line:
+        # Read-only stream: requests go out with sendall, so closing a
+        # stream never flushes a half-written request.
+        stream = sock.makefile("rb")
+        try:
+            if not stream.readline():  # discard the hello
+                raise ConnectionError("closed before greeting")
+        except OSError as exc:
+            stream.close()
+            sock.close()
             raise CacheBackendError(
-                f"cache server {self.host}:{self.port} closed the "
-                "connection mid-request")
+                f"cache server {self.host}:{self.port} unreachable: "
+                f"{exc}") from exc
+        return sock, stream
+
+    def _drop(self) -> None:
+        """Close the open connection, if any (caller holds the lock)."""
+        if self._conn is not None:
+            sock, stream = self._conn
+            self._conn = None
+            stream.close()
+            sock.close()
+
+    def _own_lock(self) -> threading.Lock:
+        """This process's lock, forgetting a connection inherited by fork.
+
+        A forked child closes only its own descriptors of the parent's
+        socket (no shutdown, no write), so the parent's connection
+        stays usable, and takes a fresh lock in case another parent
+        thread held the old one at the fork.
+        """
+        if self._pid != os.getpid():
+            self._pid, self._lock = os.getpid(), threading.Lock()
+            self._drop()
+        return self._lock
+
+    def close(self) -> None:
+        """Close this process's connection; the next operation reopens."""
+        with self._own_lock():
+            self._drop()
+
+    def _exchange(self, line: bytes) -> bytes:
+        """Send one request line and read the response line."""
+        with self._own_lock():
+            while True:
+                reused = self._conn is not None
+                if not reused:
+                    self._conn = self._open()
+                sock, stream = self._conn
+                try:
+                    sock.sendall(line)
+                    reply = stream.readline()
+                except OSError as exc:
+                    self._drop()
+                    # A timeout is a slow server, not a stale connection.
+                    if reused and not isinstance(exc, TimeoutError):
+                        continue
+                    raise CacheBackendError(
+                        f"cache server {self.host}:{self.port} "
+                        f"unreachable: {exc}") from exc
+                if reply:
+                    return reply
+                self._drop()
+                if not reused:
+                    raise CacheBackendError(
+                        f"cache server {self.host}:{self.port} closed the "
+                        "connection mid-request")
+
+    def _roundtrip(self, request: dict) -> dict:
+        line = self._exchange(encode_record(request))
         try:
             response = decode_record(line)
         except ProtocolError as exc:
+            self.close()  # out of step with the server: start afresh
             raise CacheBackendError(str(exc)) from exc
         if response.get("type") == "error":
             raise CacheBackendError(

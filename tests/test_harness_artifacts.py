@@ -209,6 +209,75 @@ def test_counters_match_per_address_oracle(oracle_shapes,
         _assert_matches_oracle(artifacts, expected)
 
 
+def test_per_address_oracles_are_reached_after_clear_memo(
+        per_address_oracles, monkeypatch):
+    """Memoized branch counts and per-instance counts do not outlive
+    ``clear_memo``, so the oracles answer for an instance counted
+    before it (as the module's ``oracle_shapes`` are)."""
+    branch_calls, tlb_calls = [], []
+    oracle_run_trace = BranchPredictor.run_trace
+    oracle_access_many = TLB.access_many
+
+    def branch_counting(self, pcs, outcomes):
+        branch_calls.append(len(pcs))
+        return oracle_run_trace(self, pcs, outcomes)
+
+    def tlb_counting(self, addresses):
+        tlb_calls.append(len(addresses))
+        return oracle_access_many(self, addresses)
+
+    monkeypatch.setattr(BranchPredictor, "run_trace", branch_counting)
+    monkeypatch.setattr(TLB, "access_many", tlb_counting)
+    artifacts = get_cell_artifacts("crc", "tiny", trace_len=2048)
+    spec = get_device("i7-6700K")
+    first = simulate_cell_counters(spec, artifacts)
+    n = int(artifacts.trace.size)
+    assert branch_calls == tlb_calls == [n]
+    assert simulate_cell_counters(get_device("GTX 1080"), artifacts)
+    assert branch_calls == tlb_calls == [n]  # counted once per instance
+    clear_memo()
+    assert simulate_cell_counters(spec, artifacts) == first
+    assert branch_calls == tlb_calls == [n, n]
+
+
+#: Three shapes, well within the memo, interleaved in serve order.
+ORDER_SHAPES = (("crc", "tiny"), ("fft", "small"), ("hmm", "small"))
+
+
+def test_counters_do_not_depend_on_cell_order(monkeypatch):
+    """Serve order (shapes round-robin) and shape-sorted order give the
+    same counters, with one TLB replay per artifacts instance."""
+    replayed = []
+    real_access_many = TLB.access_many
+
+    def counting(self, addresses):
+        replayed.append(addresses)
+        return real_access_many(self, addresses)
+
+    monkeypatch.setattr(TLB, "access_many", counting)
+    names = device_names()
+
+    def counters(cells):
+        clear_memo()
+        replayed.clear()
+        instances, got = {}, {}
+        for (benchmark, size), name in cells:
+            artifacts = instances[benchmark, size] = get_cell_artifacts(
+                benchmark, size)
+            got[benchmark, size, name] = simulate_cell_counters(
+                get_device(name), artifacts)
+        traces = sorted(id(a.trace) for a in instances.values())
+        assert sorted(id(t) for t in replayed) == traces
+        return got
+
+    serve_order = [(shape, name) for name in names for shape in ORDER_SHAPES]
+    sorted_order = [(shape, name) for shape in ORDER_SHAPES for name in names]
+    by_serve = counters(serve_order)
+    by_shape = counters(sorted_order)
+    assert len(by_serve) == len(ORDER_SHAPES) * len(names) == 45
+    assert by_serve == by_shape
+
+
 def test_counter_replay_memo_holds_one_instance():
     a = get_cell_artifacts("crc", "tiny", trace_len=4096)
     b = get_cell_artifacts("fft", "tiny", trace_len=4096)

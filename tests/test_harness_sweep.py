@@ -136,6 +136,34 @@ class TestSweepCache:
         # canonicalisation: device name case does not split the cache
         assert cell_key(RunConfig("fft", "tiny", "I7-6700K", samples=5)) == key
 
+    def test_key_bytes_match_the_whole_material_dump(self):
+        """The per-spec JSON memo leaves every key byte-identical to
+        one ``json.dumps`` of the whole key material."""
+        import dataclasses
+
+        from repro.devices import get_device
+        from repro.devices.catalog import device_names
+        from repro.harness.sweep import MODEL_VERSION
+
+        def whole_dump_key(config, model_version=MODEL_VERSION):
+            spec = get_device(config.device)
+            fields = dataclasses.asdict(config)
+            fields["device"] = spec.name
+            material = {"model_version": model_version, "config": fields,
+                        "device_spec": dataclasses.asdict(spec)}
+            blob = json.dumps(material, sort_keys=True, default=str)
+            return hashlib.sha256(blob.encode()).hexdigest()
+
+        for name in device_names():
+            for config in (
+                    RunConfig("fft", "tiny", name, samples=5),
+                    RunConfig("kmeans", "small", name.upper(), samples=50,
+                              seed=7, execute=True, validate=True)):
+                for _ in range(2):  # the second call reads the memo
+                    assert cell_key(config) == whole_dump_key(config), name
+                assert (cell_key(config, model_version="999-test")
+                        == whole_dump_key(config, "999-test"))
+
     def test_model_version_bump_invalidates(self, tmp_path, monkeypatch):
         cache = SweepCache(tmp_path)
         configs = _configs()[:2]

@@ -1,9 +1,12 @@
 """Cache backends and the wire protocol (repro.service)."""
 
+import contextlib
+import os
 import socket
 import socketserver
 import threading
 
+import numpy as np
 import pytest
 
 from repro.service.protocol import (
@@ -231,52 +234,78 @@ class TestParseBackendSpec:
 # Remote backend against a stub cache server
 # ----------------------------------------------------------------------
 class _StubCacheHandler(socketserver.StreamRequestHandler):
-    """Minimal in-memory speaker of the cache protocol."""
+    """Minimal in-memory speaker of the cache protocol.
+
+    Like the real server, it answers request after request on one
+    connection until the client leaves or the stub stops.
+    """
 
     def handle(self):
+        server = self.server
+        with server.lock:  # type: ignore[attr-defined]
+            server.connections += 1  # type: ignore[attr-defined]
+            server.open_sockets.add(self.connection)  # type: ignore[attr-defined]
         self.wfile.write(encode_record(
             {"type": "hello", "v": PROTOCOL_VERSION, "mode": "cache-only",
              "jobs": 0}))
-        line = self.rfile.readline()
-        if not line:
-            return
-        record = decode_record(line)
+        for line in self.rfile:
+            self.wfile.write(encode_record(self.answer(decode_record(line))))
+
+    def answer(self, record: dict) -> dict:
         store = self.server.store  # type: ignore[attr-defined]
         rtype = record["type"]
         if rtype == "cache_get":
             blob = store.get((record["kind"], record["key"]))
-            reply = {"type": "cache_blob", "data": blob_to_wire(blob)}
-        elif rtype == "cache_put":
+            return {"type": "cache_blob", "data": blob_to_wire(blob)}
+        if rtype == "cache_put":
             store[(record["kind"], record["key"])] = blob_from_wire(
                 record["data"])
-            reply = {"type": "cache_ok"}
-        elif rtype == "cache_keys":
-            reply = {"type": "cache_keys",
-                     "keys": sorted(k for kind, k in store
-                                    if kind == record["kind"])}
-        elif rtype == "cache_delete":
+            return {"type": "cache_ok"}
+        if rtype == "cache_keys":
+            return {"type": "cache_keys",
+                    "keys": sorted(k for kind, k in store
+                                   if kind == record["kind"])}
+        if rtype == "cache_delete":
             deleted = store.pop((record["kind"], record["key"]),
                                 None) is not None
-            reply = {"type": "cache_ok", "deleted": deleted}
-        else:
-            reply = {"type": "error", "id": record.get("id"),
-                     "error": f"stub does not speak {rtype!r}"}
-        self.wfile.write(encode_record(reply))
+            return {"type": "cache_ok", "deleted": deleted}
+        return {"type": "error", "id": record.get("id"),
+                "error": f"stub does not speak {rtype!r}"}
+
+
+class _StubCacheServer(socketserver.ThreadingTCPServer):
+    allow_reuse_address = True
+    daemon_threads = True
+
+    def __init__(self, address, store: dict):
+        super().__init__(address, _StubCacheHandler)
+        self.store = store
+        self.connections = 0
+        self.open_sockets: set = set()
+        self.lock = threading.Lock()
+        self._thread = threading.Thread(target=self.serve_forever,
+                                        daemon=True)
+        self._thread.start()
+
+    def stop(self) -> None:
+        """Stop listening and hang up on every client, like a dead hub."""
+        self.shutdown()
+        with self.lock:
+            for sock in self.open_sockets:
+                with contextlib.suppress(OSError):
+                    sock.shutdown(socket.SHUT_RDWR)
+        self.server_close()
+        self._thread.join(timeout=5)
+        assert not self._thread.is_alive()
 
 
 @pytest.fixture()
 def stub_cache_server():
-    server = socketserver.ThreadingTCPServer(
-        ("127.0.0.1", 0), _StubCacheHandler)
-    server.store = {}
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
+    server = _StubCacheServer(("127.0.0.1", 0), {})
     try:
         yield server
     finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5)
+        server.stop()
 
 
 class TestRemoteCacheBackend:
@@ -344,3 +373,115 @@ class TestRemoteCacheBackend:
         import numpy as np
         np.testing.assert_array_equal(
             warm.results[0].times_s, hit.results[0].times_s)
+
+
+@pytest.fixture()
+def connection_attempts(monkeypatch):
+    """Every ``socket.create_connection`` call, by address."""
+    attempts = []
+    real = socket.create_connection
+
+    def counting(address, *args, **kwargs):
+        attempts.append(address)
+        return real(address, *args, **kwargs)
+
+    monkeypatch.setattr(socket, "create_connection", counting)
+    return attempts
+
+
+def _remote_degraded() -> float:
+    from repro.telemetry.metrics import default_registry
+
+    family = default_registry().counter("sweep_cache_degraded_total")
+    return sum(family.value(backend="remote", op=op, reason=reason)
+               for op in ("read", "write")
+               for reason in ("backend", "corrupt"))
+
+
+class TestRemoteConnectionReuse:
+    """One hub connection per backend and process, renewed when stale."""
+
+    def test_operations_share_one_connection(self, stub_cache_server,
+                                             connection_attempts):
+        host, port = stub_cache_server.server_address
+        backend = RemoteCacheBackend(host, port, timeout_s=5.0)
+        keys = [f"{i:02x}" * 32 for i in range(8)]
+        for i, key in enumerate(keys):
+            assert backend.read("result", key) is None
+            backend.write("result", key, bytes([i]) * 100)
+            assert backend.read("result", key) == bytes([i]) * 100
+        assert backend.keys("result") == sorted(keys)
+        assert backend.delete("result", keys[0]) is True
+        assert connection_attempts == [(host, port)]
+        assert stub_cache_server.connections == 1
+        backend.close()
+        assert backend.read("result", keys[1]) == bytes([1]) * 100
+        assert len(connection_attempts) == 2
+        backend.close()
+
+    def test_hub_restart_is_a_hit_not_a_degraded_read(
+            self, stub_cache_server, connection_attempts):
+        from repro.harness.runner import RunConfig
+        from repro.harness.sweep import SweepCache, cell_key, run_sweep
+
+        host, port = stub_cache_server.server_address
+        cache = SweepCache(f"remote://{host}:{port}")
+        config = RunConfig("fft", "tiny", "i7-6700K", samples=4)
+        warm = run_sweep([config], jobs=1, cache=cache)
+        assert (warm.computed, warm.cached) == (1, 0)
+        assert len(connection_attempts) == 1
+        before = _remote_degraded()
+
+        store = stub_cache_server.store
+        stub_cache_server.stop()
+        restarted = _StubCacheServer((host, port), store)
+        try:
+            hit = cache.get(cell_key(config))
+            assert hit is not None
+            np.testing.assert_array_equal(hit.times_s,
+                                          warm.results[0].times_s)
+            assert _remote_degraded() == before
+            assert len(connection_attempts) == 2  # one reconnect
+            assert restarted.connections == 1
+        finally:
+            cache.backend.close()
+            restarted.stop()
+
+    def test_dead_hub_after_reuse_raises_after_one_retry(
+            self, stub_cache_server, connection_attempts):
+        host, port = stub_cache_server.server_address
+        backend = RemoteCacheBackend(host, port, timeout_s=1.0)
+        assert backend.read("result", "ab" * 32) is None
+        stub_cache_server.stop()
+        with pytest.raises(CacheBackendError):
+            backend.read("result", "ab" * 32)
+        assert len(connection_attempts) == 2
+
+    def test_forked_child_opens_its_own_connection(self, stub_cache_server):
+        host, port = stub_cache_server.server_address
+        backend = RemoteCacheBackend(host, port, timeout_s=5.0)
+        key = "cd" * 32
+        backend.write("result", key, b"shared")
+        assert stub_cache_server.connections == 1
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # child: report what it read, never return to pytest
+            status = 1
+            try:
+                os.close(read_end)
+                os.write(write_end, backend.read("result", key) or b"")
+                backend.close()
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write_end)
+        with os.fdopen(read_end, "rb") as pipe:
+            got = pipe.read()
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert got == b"shared"
+        assert stub_cache_server.connections == 2  # the child's own
+        # The child closed only its copy: the parent's connection lives.
+        assert backend.read("result", key) == b"shared"
+        assert stub_cache_server.connections == 2
+        backend.close()
