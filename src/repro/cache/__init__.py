@@ -6,7 +6,6 @@ uses to verify its problem-size selection (DESIGN.md §2).
 
 from .branch import BranchPredictor
 from .hierarchy import CacheHierarchy
-from .prefetch import PrefetchStats, StreamPrefetcher
 from .setassoc import CacheStats, SetAssociativeCache
 from .tlb import TLB
 from . import trace
@@ -14,8 +13,6 @@ from . import trace
 __all__ = [
     "BranchPredictor",
     "CacheHierarchy",
-    "PrefetchStats",
-    "StreamPrefetcher",
     "CacheStats",
     "SetAssociativeCache",
     "TLB",

@@ -10,9 +10,8 @@ from counter ``c`` mispredicts exactly ``clamp(2 - c, 0, L)`` times
 and leaves the counter at ``min(3, c + L)`` (symmetrically for
 not-taken), so each run costs O(1) instead of O(L).  Slots are
 independent and per-slot order is preserved, so the result is
-bit-exact against the per-address
-:meth:`BranchPredictor.predict_and_update` oracle
-(``tests/test_cache_batch.py``).
+bit-exact against the per-branch predict-and-update walk over the same
+counter table in ``tests/cache_oracles.py``.
 """
 
 from __future__ import annotations
@@ -39,20 +38,6 @@ class BranchPredictor:
         self.branches = 0
         self.mispredictions = 0
 
-    def predict_and_update(self, pc: int, taken: bool) -> bool:
-        """Predict one branch, update the counter; returns the prediction."""
-        idx = (int(pc) >> 2) & self._mask
-        counter = self._table[idx]
-        prediction = counter >= 2
-        self.branches += 1
-        if prediction != bool(taken):
-            self.mispredictions += 1
-        if taken:
-            self._table[idx] = min(counter + 1, 3)
-        else:
-            self._table[idx] = max(counter - 1, 0)
-        return bool(prediction)
-
     def run_trace(self, pcs: Iterable[int] | np.ndarray,
                   outcomes: Iterable[bool] | np.ndarray) -> int:
         """Feed parallel arrays of PCs and outcomes; returns new mispredictions."""
@@ -69,7 +54,7 @@ class BranchPredictor:
             return self.mispredictions - before
 
     def _run_batch(self, pcs: np.ndarray, outcomes: np.ndarray) -> None:
-        """Grouped run-length replay; exact against ``predict_and_update``."""
+        """Grouped run-length replay; exact against the per-branch oracle."""
         n = int(pcs.size)
         if n == 0:
             return

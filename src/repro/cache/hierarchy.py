@@ -6,9 +6,9 @@ inward-out, allocating in every level it missed (inclusive fill).
 Per-level counters map onto the PAPI events the paper collects
 (``PAPI_L1_DCM``, ``PAPI_L2_DCM``, ``PAPI_L3_TCM``).
 
-``access_many`` replays a whole trace one level at a time.  The
-per-address :meth:`CacheHierarchy.access` is its oracle, and the walk
-the stream prefetcher makes once per access.
+``access_many`` replays a whole trace one level at a time.  Its
+oracle, the per-address walk through all levels, lives in
+``tests/cache_oracles.py``.
 """
 
 from __future__ import annotations
@@ -64,18 +64,6 @@ class CacheHierarchy:
         ])
 
     # ------------------------------------------------------------------
-    def access(self, address: int) -> int:
-        """Access an address; returns the level index that hit.
-
-        ``len(levels)`` means main memory.  Fills are inclusive: a miss
-        at level *i* allocates the line in levels ``0..i``.
-        """
-        for i, cache in enumerate(self.levels):
-            if cache.access(address):
-                return i
-        self.memory_accesses += 1
-        return len(self.levels)
-
     def access_many(self, addresses: Iterable[int]) -> np.ndarray:
         """Feed a whole trace; return the addresses that missed every level.
 
@@ -83,8 +71,9 @@ class CacheHierarchy:
         stream through :meth:`SetAssociativeCache.filter_misses`, and L2
         only sees L1's miss subset, in original order.  Each level's
         state depends only on its own input stream, and that stream is
-        identical to the one the per-address :meth:`access` walk feeds
-        it, so the result is bit-exact against that walk.
+        identical to the one a per-address walk through all levels
+        (inclusive fill: a miss at level *i* allocates the line in levels
+        ``0..i``) feeds it, so the result is bit-exact against that walk.
         """
         with get_tracer().span("cache_sim_trace", phase="cache_sim") as sp:
             pending = as_addresses(addresses)

@@ -9,19 +9,12 @@ working set no longer fits a level.
 Traces run through :meth:`SetAssociativeCache.access_batch` (behind
 ``access_many`` and ``filter_misses``), which has no per-set or
 per-access Python loop: :func:`lru_replay` decides every hit from
-next-use distances over whole arrays.  The per-address
-:meth:`SetAssociativeCache.access` is the oracle it is tested against
-(``tests/test_cache_batch.py``): bit-exact in hit outcomes and in each
-set's final LRU order.  Both share one LRU state, held as per-set
-dicts once ``access`` reads it and as one array of resident lines
-after a batch call.
-
-The per-set dicts (``_sets``) have one non-test caller in ``src/``:
-:class:`~repro.cache.prefetch.StreamPrefetcher` walks
-:meth:`CacheHierarchy.access <repro.cache.hierarchy.CacheHierarchy.access>`,
-hence ``access``, once per demand access and prefetch.
-:meth:`~SetAssociativeCache.contains` and
-:attr:`~SetAssociativeCache.lines_resident` have none.
+next-use distances over whole arrays.  The cache's one LRU state is
+:attr:`SetAssociativeCache.resident`, the resident line numbers
+grouped by set and LRU to MRU within each set.  The per-address LRU
+walk it is tested against lives in ``tests/cache_oracles.py``, which
+reads and writes that same array: bit-exact in hit outcomes and in
+each set's final LRU order.
 """
 
 from __future__ import annotations
@@ -241,40 +234,12 @@ class SetAssociativeCache:
         self.associativity = associativity
         self.n_sets = n_sets
         self._offset_bits = line_bytes.bit_length() - 1
-        self._set_bits = n_sets.bit_length() - 1
         self._index_mask = n_sets - 1
-        # The LRU state lives in one of two forms: per-set dicts (see
-        # ``_sets``) once ``access`` has read them, otherwise the
-        # resident line numbers as left by the last batch call.
-        self._ways: list[dict[int, None]] | None = None
-        self._resident = _NO_LINES
+        #: Resident line numbers, grouped by set, LRU to MRU within each.
+        self.resident = _NO_LINES
         self.stats = CacheStats()
 
     # ------------------------------------------------------------------
-    def _split(self, address: int) -> tuple[int, int]:
-        line = address >> self._offset_bits
-        return line & self._index_mask, line >> self._set_bits
-
-    def access(self, address: int) -> bool:
-        """Access one byte address; returns True on hit.
-
-        Misses allocate the line, evicting LRU if the set is full.
-        """
-        set_index, tag = self._split(int(address))
-        ways = self._sets[set_index]
-        self.stats.accesses += 1
-        if tag in ways:
-            # refresh LRU position
-            del ways[tag]
-            ways[tag] = None
-            self.stats.hits += 1
-            return True
-        self.stats.misses += 1
-        if len(ways) >= self.associativity:
-            ways.pop(next(iter(ways)))  # evict LRU
-        ways[tag] = None
-        return False
-
     def access_many(self, addresses: Iterable[int]) -> int:
         """Run a sequence of byte addresses; returns the miss count added."""
         return int(self.filter_misses(as_addresses(addresses)).size)
@@ -294,72 +259,28 @@ class SetAssociativeCache:
     def access_batch(self, addresses: np.ndarray) -> np.ndarray:
         """Access a whole int64 address array; returns the hit mask.
 
-        Bit-exact against an :meth:`access` loop, the oracle.  The
-        resident lines, LRU to MRU per set, are replayed first as if just
-        accessed (which rebuilds exactly the current state), then the
-        whole stream goes through :func:`lru_replay` in one vectorized
-        pass.  The new state stays in array form until something reads
-        the per-set dicts.
+        The :attr:`resident` lines, LRU to MRU per set, are replayed
+        first as if just accessed (which rebuilds exactly the current
+        state), then the whole stream goes through :func:`lru_replay` in
+        one vectorized pass.
         """
         addresses = np.asarray(addresses, dtype=np.int64).ravel()
         n = int(addresses.size)
         if n == 0:
             return np.empty(0, dtype=bool)
         lines = addresses >> self._offset_bits
-        seed = self._resident_lines()
+        seed = self.resident
         if seed.size:
             lines = np.concatenate((seed, lines))
-        hits, self._resident = lru_replay(lines, self._index_mask,
-                                          self.associativity)
-        self._ways = None
+        hits, self.resident = lru_replay(lines, self._index_mask,
+                                         self.associativity)
         hit_mask = hits[seed.size:]
         self.stats.record_batch(n, np.count_nonzero(hit_mask))
         return hit_mask
 
-    def _resident_lines(self) -> np.ndarray:
-        """Resident line numbers, grouped by set, LRU to MRU within each."""
-        if self._ways is None:
-            return self._resident
-        set_bits = self._set_bits
-        return np.asarray([(tag << set_bits) | s
-                           for s, ways in enumerate(self._ways) for tag in ways],
-                          dtype=np.int64)
-
-    @property
-    def _sets(self) -> list[dict[int, None]]:
-        """Per-set LRU stacks: the first key is the LRU tag, the last the MRU.
-
-        Built from the array state on first read after a batch call, so
-        a cache that only ever sees :meth:`access_batch` never builds
-        one dict per set.
-        """
-        if self._ways is None:
-            ways: list[dict[int, None]] = [dict() for _ in range(self.n_sets)]
-            set_bits, mask = self._set_bits, self._index_mask
-            for line in self._resident.tolist():
-                ways[line & mask][line >> set_bits] = None
-            self._ways = ways
-            self._resident = _NO_LINES
-        return self._ways
-
-    # ------------------------------------------------------------------
-    def contains(self, address: int) -> bool:
-        """Whether the line holding ``address`` is resident (no LRU update)."""
-        set_index, tag = self._split(int(address))
-        return tag in self._sets[set_index]
-
-    @property
-    def lines_resident(self) -> int:
-        return sum(len(s) for s in self._sets)
-
-    def flush(self) -> None:
-        """Invalidate all lines (counters are preserved)."""
-        self._ways = None
-        self._resident = _NO_LINES
-
     def reset(self) -> None:
         """Invalidate all lines and zero the counters."""
-        self.flush()
+        self.resident = _NO_LINES
         self.stats.reset()
 
     def __repr__(self) -> str:

@@ -6,13 +6,13 @@ fully-associative, LRU data TLB — adequate for the page-locality
 question the counter answers.
 
 ``access_many`` is vectorized and bit-exact against the per-address
-:meth:`TLB.access` oracle (``tests/test_cache_batch.py``): when
-the pages a trace touches plus the already-resident set provably fit
-the TLB, no eviction can occur, so the hit/miss outcome of every
-access and the final recency order are computed in closed form from
-numpy set operations; otherwise the trace is compressed (consecutive
-same-page accesses are guaranteed MRU hits) and replayed through the
-same LRU dict the oracle uses.
+walk in ``tests/cache_oracles.py``, which works on the same LRU dict
+of resident pages: when the pages a trace touches plus the
+already-resident set provably fit the TLB, no eviction can occur, so
+the hit/miss outcome of every access and the final recency order are
+computed in closed form from numpy set operations; otherwise the trace
+is compressed (consecutive same-page accesses are guaranteed MRU hits)
+and replayed through that dict.
 """
 
 from __future__ import annotations
@@ -38,23 +38,9 @@ class TLB:
         self.entries = entries
         self.page_bytes = page_bytes
         self._shift = page_bytes.bit_length() - 1
+        #: Resident pages in LRU to MRU order (the keys; values unused).
         self._pages: dict[int, None] = {}
         self.stats = CacheStats()
-
-    def access(self, address: int) -> bool:
-        """Translate one byte address; returns True on TLB hit."""
-        page = int(address) >> self._shift
-        self.stats.accesses += 1
-        if page in self._pages:
-            del self._pages[page]
-            self._pages[page] = None
-            self.stats.hits += 1
-            return True
-        self.stats.misses += 1
-        if len(self._pages) >= self.entries:
-            self._pages.pop(next(iter(self._pages)))
-        self._pages[page] = None
-        return False
 
     def access_many(self, addresses: Iterable[int]) -> int:
         """Translate a trace; returns misses added."""
@@ -68,7 +54,7 @@ class TLB:
             return self.stats.misses - before
 
     def _translate_batch(self, pages: np.ndarray) -> None:
-        """Replay a page trace; exact against the :meth:`access` oracle."""
+        """Replay a page trace; exact against the per-address oracle."""
         n = int(pages.size)
         resident = self._pages
         # Last-occurrence order of the touched pages: unique over the

@@ -143,6 +143,13 @@ def _phase_dict(spans) -> dict:
     }
 
 
+def _open_cache(args, root) -> SweepCache:
+    """A sweep cache at ``root``, closed when the command returns."""
+    cache = SweepCache(root)
+    args.cleanup.callback(cache.close)
+    return cache
+
+
 def _sweep_options(args, default_cache: bool) -> tuple[int | None, SweepCache | None, bool]:
     """Resolve ``--jobs``/``--cache-dir``/``--no-cache``/``--refresh``/``--resume``.
 
@@ -162,9 +169,9 @@ def _sweep_options(args, default_cache: bool) -> tuple[int | None, SweepCache | 
     cache = None
     if not no_cache:
         if args.cache_dir:
-            cache = SweepCache(args.cache_dir)
+            cache = _open_cache(args, args.cache_dir)
         elif default_cache or resume:
-            cache = SweepCache(default_cache_dir())
+            cache = _open_cache(args, default_cache_dir())
     return args.jobs, cache, refresh
 
 
@@ -831,7 +838,7 @@ def cmd_serve(args) -> int:
         raise UsageError("--queue-limit must be >= 1")
     cache = None
     if not args.no_cache:
-        cache = SweepCache(args.cache_dir or default_cache_dir())
+        cache = _open_cache(args, args.cache_dir or default_cache_dir())
     elif args.cache_only:
         raise UsageError("--cache-only needs a cache (drop --no-cache)")
     with _observability(args):
@@ -1257,8 +1264,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if hasattr(args, "rest"):
         args.rest = rest
+    args.cleanup = contextlib.ExitStack()  # what the command opened
     try:
-        return args.func(args)
+        with args.cleanup:
+            return args.func(args)
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE

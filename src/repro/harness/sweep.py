@@ -401,6 +401,10 @@ class SweepCache:
                 removed += 1
         return removed
 
+    def close(self) -> None:
+        """Release the backend's connection, if it holds one."""
+        self.backend.close()
+
     def __repr__(self) -> str:
         return f"<SweepCache {self.backend.describe()}: {len(self)} entries>"
 
@@ -472,11 +476,37 @@ class WorkerDied(BrokenProcessPool):
             f"{c.benchmark}/{c.size}/{c.device}" for c in self.configs))
 
 
+#: How often a pool worker checks that its parent is still alive.
+_PARENT_POLL_S = 0.2
+
+
+def _exit_with_parent(parent: int) -> None:
+    """Pool-worker initializer: ``os._exit`` once ``parent`` is gone.
+
+    A parent killed by SIGKILL cannot stop its workers, which would
+    wait on the call queue forever, reparented.  A daemon thread polls
+    ``os.getppid()`` and exits the worker when it changes.  A worker
+    whose parent is not ``parent`` at start (a forkserver's child) has
+    nothing to watch.
+    """
+    if os.getppid() != parent:
+        return
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(_PARENT_POLL_S)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="parent-watch", daemon=True).start()
+
+
 class _Generation:
     """One executor and the cells in flight on it."""
 
     def __init__(self, jobs: int):
-        self.executor = ProcessPoolExecutor(max_workers=jobs)
+        self.executor = ProcessPoolExecutor(
+            max_workers=jobs, initializer=_exit_with_parent,
+            initargs=(os.getpid(),))
         self.cells: dict[Future, RunConfig] = {}
         self.lost: list[RunConfig] | None = None  # set once it breaks
 

@@ -91,6 +91,10 @@ class CacheBackend(Protocol):
         """Human-readable location (shown in sweep summaries)."""
         ...
 
+    def close(self) -> None:
+        """Release any connection held open; the next operation reopens."""
+        ...
+
 
 # ----------------------------------------------------------------------
 # Local filesystem backend
@@ -176,6 +180,9 @@ class LocalCacheBackend:
 
     def describe(self) -> str:
         return str(self.root)
+
+    def close(self) -> None:
+        """Nothing to release: each operation opens and closes its files."""
 
     # ------------------------------------------------------------------
     def _entry_paths(self) -> Iterator[Path]:

@@ -1,12 +1,12 @@
 """Batch-vs-oracle equivalence for the vectorized simulators.
 
 Every model in :mod:`repro.cache` has one trace entry point, a numpy
-batch path, and keeps its per-address method (``access`` /
-``predict_and_update``) as the oracle.  These property tests drive
-random traces through the batch path and through an explicit loop
-over the oracle and require *bit-exact* agreement — outcomes,
-counters, and the internal LRU/counter state — plus a perf smoke test
-pinning the batch path's headroom on a 1M-address trace.
+batch path.  Its oracle is the per-address walk in
+:mod:`tests.cache_oracles`, over the same state.  These property tests
+drive random traces through the batch path and through the oracle and
+require *bit-exact* agreement — outcomes, counters, and the LRU/counter
+state — plus a perf smoke test pinning the batch path's headroom on a
+1M-address trace.
 """
 
 from __future__ import annotations
@@ -24,11 +24,16 @@ from repro.cache import (
     CacheHierarchy,
     CacheStats,
     SetAssociativeCache,
-    StreamPrefetcher,
     TLB,
 )
 from repro.cache import setassoc
 from repro.cache.setassoc import as_addresses
+from tests.cache_oracles import (
+    cache_access,
+    hierarchy_access,
+    predict_and_update,
+    tlb_access,
+)
 
 SLOW = settings(max_examples=40, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -63,16 +68,10 @@ def _stats_tuple(stats: CacheStats) -> tuple[int, int, int]:
     return (stats.accesses, stats.hits, stats.misses)
 
 
-def _oracle_hits(model, trace) -> list[bool]:
-    """Walk a trace through ``model.access`` one address at a time."""
-    return [model.access(a) for a in trace]
-
-
 def _oracle_branches(predictor: BranchPredictor, pcs, outcomes) -> int:
-    """Walk a branch trace through ``predict_and_update``; new mispredictions."""
+    """Walk a branch trace through the oracle; new mispredictions."""
     before = predictor.mispredictions
-    for pc, taken in zip(pcs, outcomes):
-        predictor.predict_and_update(pc, taken)
+    predict_and_update(predictor, pcs, outcomes)
     return predictor.mispredictions - before
 
 
@@ -83,22 +82,22 @@ def _oracle_branches(predictor: BranchPredictor, pcs, outcomes) -> int:
 @given(cache=small_caches(), trace=traces())
 def test_setassoc_batch_matches_scalar(cache, trace):
     other = _clone(cache)
-    scalar_hits = _oracle_hits(cache, trace)
+    scalar_hits = cache_access(cache, trace)
     scalar_misses = len(trace) - sum(scalar_hits)
     batch_misses = other.access_many(trace)
     batch_hits = other.access_batch(np.asarray([], dtype=np.int64))
     assert batch_misses == scalar_misses
     assert batch_hits.size == 0
     assert _stats_tuple(other.stats) == _stats_tuple(cache.stats)
-    # Internal LRU state must match exactly, including recency order.
-    assert [list(s) for s in other._sets] == [list(s) for s in cache._sets]
+    # The LRU state must match exactly, including recency order.
+    assert other.resident.tolist() == cache.resident.tolist()
 
 
 @SLOW
 @given(cache=small_caches(), trace=traces())
 def test_setassoc_hit_mask_matches_oracle(cache, trace):
     other = _clone(cache)
-    scalar_hits = _oracle_hits(cache, trace)
+    scalar_hits = cache_access(cache, trace)
     mask = other.access_batch(np.asarray(trace, dtype=np.int64))
     assert mask.tolist() == scalar_hits
 
@@ -107,16 +106,16 @@ def test_setassoc_hit_mask_matches_oracle(cache, trace):
 @given(cache=small_caches(), chunks=st.lists(traces(max_len=60),
                                              min_size=1, max_size=5))
 def test_setassoc_scalar_and_batch_interleave(cache, chunks):
-    """Both paths share the canonical state, so calls may alternate."""
+    """Both paths share the ``resident`` state, so calls may alternate."""
     other = _clone(cache)
     for i, chunk in enumerate(chunks):
-        _oracle_hits(cache, chunk)
+        cache_access(cache, chunk)
         if i % 2:
-            _oracle_hits(other, chunk)
+            cache_access(other, chunk)
         else:
             other.access_many(chunk)
     assert _stats_tuple(other.stats) == _stats_tuple(cache.stats)
-    assert [list(s) for s in other._sets] == [list(s) for s in cache._sets]
+    assert other.resident.tolist() == cache.resident.tolist()
 
 
 def _geometry_cache(sets: int, ways: int, line: int) -> SetAssociativeCache:
@@ -161,14 +160,14 @@ def _assert_batch_equals_oracle(cache, chunks, batch_chunks) -> list[bool]:
     other = _clone(cache)
     got: list[bool] = []
     for i, chunk in enumerate(chunks):
-        want = _oracle_hits(cache, chunk)
+        want = cache_access(cache, chunk)
         if i in batch_chunks:
             got = other.access_batch(np.asarray(chunk, dtype=np.int64)).tolist()
         else:
-            got = _oracle_hits(other, chunk)
+            got = cache_access(other, chunk)
         assert got == want
         assert _stats_tuple(other.stats) == _stats_tuple(cache.stats)
-        assert [list(s) for s in other._sets] == [list(s) for s in cache._sets]
+        assert other.resident.tolist() == cache.resident.tolist()
     return got
 
 
@@ -245,7 +244,9 @@ def test_setassoc_one_set_adversary_wall_bound():
     misses = cache.access_many(trace)
     elapsed = time.perf_counter() - start
     assert misses == 10
-    assert list(cache._sets[0]) == [2, 3, 4, 5, 6, 7, 8, 9, 0, 1]
+    # Set 0 holds line i * 64 of each id i, LRU to MRU.
+    assert cache.resident.tolist() == [
+        i * 64 for i in (2, 3, 4, 5, 6, 7, 8, 9, 0, 1)]
     # Generous, like the 1M smoke test below: well under a second on
     # any plausible host.
     assert elapsed < 30.0, f"one-set adversary took {elapsed:.1f}s"
@@ -265,37 +266,36 @@ def _small_hierarchy() -> CacheHierarchy:
 @SLOW
 @given(trace=traces(max_address=1 << 15))
 def test_hierarchy_batch_matches_scalar(trace):
-    """The level walk against each level's ``access`` over its input."""
+    """The level walk against each level's oracle over its input."""
     ref, vec = _small_hierarchy(), _small_hierarchy()
     pending = list(trace)
     for cache in ref.levels:
-        pending = [a for a, hit in zip(pending, _oracle_hits(cache, pending))
+        pending = [a for a, hit in zip(pending, cache_access(cache, pending))
                    if not hit]
     assert vec.access_many(trace).tolist() == pending
     assert vec.memory_accesses == len(pending)
     assert vec.miss_counts() == ref.miss_counts()
     for lr, lv in zip(ref.levels, vec.levels):
         assert _stats_tuple(lv.stats) == _stats_tuple(lr.stats)
-        assert [list(s) for s in lv._sets] == [list(s) for s in lr._sets]
+        assert lv.resident.tolist() == lr.resident.tolist()
 
 
 @SLOW
 @given(trace=traces(max_address=1 << 15))
 def test_hierarchy_level_walk_matches_interleaved_oracle(trace):
-    """``access_many`` walks level by level; ``access`` interleaves.
+    """``access_many`` walks level by level; the oracle interleaves.
 
     The level walk must leave the same counters and LRU state as the
-    per-address ``access`` walk through all levels.
+    per-address walk through all levels.
     """
     oracle = _small_hierarchy()
-    for address in trace:
-        oracle.access(address)
+    hierarchy_access(oracle, trace)
     walked = _small_hierarchy()
     walked.access_many(trace)
     assert walked.memory_accesses == oracle.memory_accesses
     for lo, lw in zip(oracle.levels, walked.levels):
         assert _stats_tuple(lw.stats) == _stats_tuple(lo.stats)
-        assert [list(s) for s in lw._sets] == [list(s) for s in lo._sets]
+        assert lw.resident.tolist() == lo.resident.tolist()
 
 
 @SLOW
@@ -303,13 +303,14 @@ def test_hierarchy_level_walk_matches_interleaved_oracle(trace):
 def test_filter_misses_returns_the_miss_stream_in_order(cache, trace):
     addresses = as_addresses(trace)
     oracle = _clone(cache)
-    expected = [a for a in trace if not oracle.access(a)]
+    expected = [a for a, hit in zip(trace, cache_access(oracle, trace))
+                if not hit]
     replayed = _clone(cache)
     misses = replayed.filter_misses(addresses)
     assert misses.dtype == np.int64
     assert misses.tolist() == expected
     assert _stats_tuple(replayed.stats) == _stats_tuple(oracle.stats)
-    assert [list(s) for s in replayed._sets] == [list(s) for s in oracle._sets]
+    assert replayed.resident.tolist() == oracle.resident.tolist()
 
 
 # ----------------------------------------------------------------------
@@ -320,7 +321,7 @@ def test_filter_misses_returns_the_miss_stream_in_order(cache, trace):
        entries=st.sampled_from([4, 8, 64]))
 def test_tlb_batch_matches_scalar(trace, entries):
     ref, vec = TLB(entries=entries), TLB(entries=entries)
-    ref_misses = len(trace) - sum(_oracle_hits(ref, trace))
+    ref_misses = len(trace) - sum(tlb_access(ref, trace))
     vec_misses = vec.access_many(trace)
     assert vec_misses == ref_misses
     assert _stats_tuple(vec.stats) == _stats_tuple(ref.stats)
@@ -334,7 +335,7 @@ def test_tlb_eviction_fallback_matches_scalar(pages):
     """Page universe >> entries forces the compressed-replay path."""
     trace = [p * 4096 for p in pages]
     ref, vec = TLB(entries=8), TLB(entries=8)
-    _oracle_hits(ref, trace)
+    tlb_access(ref, trace)
     vec.access_many(trace)
     assert _stats_tuple(vec.stats) == _stats_tuple(ref.stats)
     assert list(vec._pages) == list(ref._pages)
@@ -345,9 +346,9 @@ def test_tlb_batch_on_warm_state():
     ref, vec = TLB(entries=6), TLB(entries=6)
     warmup = [i * 4096 for i in (0, 1, 2, 3)]
     trace = [i * 4096 for i in (2, 4, 0, 4, 5)]
-    _oracle_hits(ref, warmup)
-    _oracle_hits(vec, warmup)
-    _oracle_hits(ref, trace)
+    tlb_access(ref, warmup)
+    tlb_access(vec, warmup)
+    tlb_access(ref, trace)
     vec.access_many(trace)
     assert _stats_tuple(vec.stats) == _stats_tuple(ref.stats)
     assert list(vec._pages) == list(ref._pages)
@@ -380,21 +381,6 @@ def test_branch_long_runs_saturate_identically():
     vec.run_trace(pcs, outcomes)
     assert vec.mispredictions == ref.mispredictions
     assert np.array_equal(vec._table, ref._table)
-
-
-# ----------------------------------------------------------------------
-# Prefetcher
-# ----------------------------------------------------------------------
-@SLOW
-@given(trace=traces(max_address=1 << 14, max_len=200))
-def test_prefetcher_batch_matches_scalar(trace):
-    ref = StreamPrefetcher(_small_hierarchy(), streams=2, depth=2)
-    vec = StreamPrefetcher(_small_hierarchy(), streams=2, depth=2)
-    _oracle_hits(ref, trace)
-    vec.access_many(trace)
-    assert vars(vec.stats) == vars(ref.stats)
-    assert vec.hierarchy.miss_counts() == ref.hierarchy.miss_counts()
-    assert vec._prefetched_lines == ref._prefetched_lines
 
 
 # ----------------------------------------------------------------------

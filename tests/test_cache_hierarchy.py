@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cache import BranchPredictor, CacheHierarchy, SetAssociativeCache, TLB
+from tests.cache_oracles import hierarchy_access, predict_and_update, tlb_access
 
 
 def small_hierarchy():
@@ -28,8 +29,8 @@ class TestHierarchy:
 
     def test_miss_fills_all_levels(self):
         h = small_hierarchy()
-        assert h.access(0) == 3          # memory
-        assert h.access(0) == 0          # now L1-resident
+        # memory, then L1-resident
+        assert hierarchy_access(h, [0, 0]) == [3, 0]
         assert h.memory_accesses == 1
 
     def test_l1_eviction_falls_to_l2(self):
@@ -37,9 +38,8 @@ class TestHierarchy:
         # fill far beyond L1 (1 KiB) but within L2 (8 KiB)
         addrs = np.arange(0, 4096, 64)
         h.access_many(addrs)
-        h.levels[0].flush()
-        level = h.access(0)
-        assert level == 1  # L2 hit
+        h.levels[0].reset()
+        assert hierarchy_access(h, [0]) == [1]  # L2 hit
 
     def test_working_set_classification(self, skylake):
         """On the Skylake hierarchy, a working set that fits L2 misses
@@ -79,18 +79,15 @@ class TestHierarchy:
 class TestTLB:
     def test_page_hit(self):
         tlb = TLB(entries=4, page_bytes=4096)
-        assert tlb.access(0) is False
-        assert tlb.access(100) is True      # same page
-        assert tlb.access(4096) is False    # next page
+        # miss, same page, next page
+        assert tlb_access(tlb, [0, 100, 4096]) == [False, True, False]
 
     def test_lru_eviction(self):
         tlb = TLB(entries=2, page_bytes=4096)
-        tlb.access(0)
-        tlb.access(4096)
-        tlb.access(0)          # refresh page 0
-        tlb.access(2 * 4096)   # evicts page 1
-        assert tlb.access(0) is True
-        assert tlb.access(4096) is False
+        # page 0, page 1, refresh page 0, page 2 evicts page 1
+        tlb_access(tlb, [0, 4096, 0, 2 * 4096])
+        assert tlb_access(tlb, [0]) == [True]
+        assert tlb_access(tlb, [4096]) == [False]
 
     def test_reach(self):
         tlb = TLB(entries=64, page_bytes=4096)
@@ -110,30 +107,27 @@ class TestTLB:
 
     def test_reset(self):
         tlb = TLB(entries=4)
-        tlb.access(0)
+        tlb_access(tlb, [0])
         tlb.reset()
         assert tlb.stats.accesses == 0
-        assert tlb.access(0) is False
+        assert tlb_access(tlb, [0]) == [False]
 
 
 class TestBranchPredictor:
     def test_learns_steady_branch(self):
         bp = BranchPredictor(64)
-        for _ in range(100):
-            bp.predict_and_update(0x400, True)
+        predict_and_update(bp, [0x400] * 100, [True] * 100)
         assert bp.misprediction_rate < 0.05
 
     def test_alternating_branch_confuses_bimodal(self):
         bp = BranchPredictor(64)
-        for i in range(200):
-            bp.predict_and_update(0x400, i % 2 == 0)
+        predict_and_update(bp, [0x400] * 200,
+                           [i % 2 == 0 for i in range(200)])
         assert bp.misprediction_rate > 0.4
 
     def test_distinct_pcs_do_not_interfere(self):
         bp = BranchPredictor(1024)
-        for _ in range(50):
-            bp.predict_and_update(0x100, True)
-            bp.predict_and_update(0x200, False)
+        predict_and_update(bp, [0x100, 0x200] * 50, [True, False] * 50)
         assert bp.misprediction_rate < 0.1
 
     def test_run_trace_shape_mismatch(self):
@@ -147,7 +141,7 @@ class TestBranchPredictor:
 
     def test_reset(self):
         bp = BranchPredictor(64)
-        bp.predict_and_update(0, True)
+        predict_and_update(bp, [0], [True])
         bp.reset()
         assert bp.branches == 0
         assert bp.mispredictions == 0

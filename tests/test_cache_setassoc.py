@@ -4,13 +4,19 @@ import numpy as np
 import pytest
 
 from repro.cache import SetAssociativeCache
+from tests.cache_oracles import cache_access
+
+
+def _resident(cache, address: int) -> bool:
+    """Whether the line holding ``address`` is resident (no LRU update)."""
+    return address // cache.line_bytes in cache.resident.tolist()
 
 
 class TestGeometry:
     def test_basic(self):
         c = SetAssociativeCache(32 * 1024, line_bytes=64, associativity=8)
         assert c.n_sets == 64
-        assert c.lines_resident == 0
+        assert c.resident.size == 0
 
     def test_non_pow2_line_rejected(self):
         with pytest.raises(ValueError):
@@ -32,15 +38,12 @@ class TestGeometry:
 class TestHitsAndMisses:
     def test_cold_miss_then_hit(self):
         c = SetAssociativeCache(1024, line_bytes=64, associativity=2)
-        assert c.access(0) is False
-        assert c.access(0) is True
-        assert c.access(63) is True   # same line
-        assert c.access(64) is False  # next line
+        # cold miss, hit, same line, next line
+        assert cache_access(c, [0, 0, 63, 64]) == [False, True, True, False]
 
     def test_counters(self):
         c = SetAssociativeCache(1024, line_bytes=64, associativity=2)
-        for a in (0, 0, 64, 0):
-            c.access(a)
+        cache_access(c, [0, 0, 64, 0])
         assert c.stats.accesses == 4
         assert c.stats.hits == 2
         assert c.stats.misses == 2
@@ -71,13 +74,11 @@ class TestLRU:
     def test_lru_eviction_order(self):
         # one set: capacity 2 lines
         c = SetAssociativeCache(128, line_bytes=64, associativity=2)
-        c.access(0)      # line A
-        c.access(64)     # line B  (A is LRU)
-        c.access(0)      # touch A (B is LRU)
-        c.access(128)    # evicts B
-        assert c.contains(0)
-        assert not c.contains(64)
-        assert c.contains(128)
+        # line A, line B (A is LRU), touch A (B is LRU), evicts B
+        cache_access(c, [0, 64, 0, 128])
+        assert _resident(c, 0)
+        assert not _resident(c, 64)
+        assert _resident(c, 128)
 
     def test_conflict_misses_within_set(self):
         """Addresses mapping to one set thrash even under capacity."""
@@ -89,25 +90,25 @@ class TestLRU:
 
     def test_contains_does_not_touch_lru(self):
         c = SetAssociativeCache(128, line_bytes=64, associativity=2)
-        c.access(0)
-        c.access(64)
-        c.contains(0)    # must NOT promote line A
-        c.access(128)    # evicts A (still LRU)
-        assert not c.contains(0)
+        cache_access(c, [0, 64])
+        _resident(c, 0)            # must NOT promote line A
+        cache_access(c, [128])     # evicts A (still LRU)
+        assert not _resident(c, 0)
 
 
 class TestMaintenance:
     def test_flush_keeps_counters(self):
+        """Emptying ``resident`` invalidates every line; counters stay."""
         c = SetAssociativeCache(1024, line_bytes=64, associativity=2)
-        c.access(0)
-        c.flush()
+        cache_access(c, [0])
+        c.resident = c.resident[:0]
         assert c.stats.accesses == 1
-        assert c.lines_resident == 0
-        assert c.access(0) is False
+        assert c.resident.size == 0
+        assert cache_access(c, [0]) == [False]
 
     def test_reset_clears_everything(self):
         c = SetAssociativeCache(1024, line_bytes=64, associativity=2)
-        c.access(0)
+        cache_access(c, [0])
         c.reset()
         assert c.stats.accesses == 0
-        assert c.lines_resident == 0
+        assert c.resident.size == 0

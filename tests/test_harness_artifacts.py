@@ -34,6 +34,7 @@ from repro.harness.runner import RunConfig, run_benchmark
 from repro.harness.sweep import result_from_payload, result_to_payload
 from repro.sizing.verify import scaled_spec, touched_bytes
 from repro.telemetry.metrics import default_registry
+from tests.cache_oracles import cache_access, predict_and_update, tlb_access
 
 
 @pytest.fixture(autouse=True)
@@ -176,23 +177,19 @@ def test_counters_key_on_the_trace_not_its_name(oracle_shapes):
 
 @pytest.fixture
 def per_address_oracles(monkeypatch):
-    """Route every trace entry point through the per-address methods."""
+    """Route every trace entry point through the per-address oracles."""
 
     def filter_misses(self, addresses):
-        return np.asarray([a for a in addresses.tolist()
-                           if not self.access(a)], dtype=np.int64)
+        hits = cache_access(self, addresses.tolist())
+        return addresses[~np.asarray(hits, dtype=bool)]
 
     def access_many(self, addresses):
-        before = self.stats.misses
-        for a in as_addresses(addresses).tolist():
-            self.access(a)
-        return self.stats.misses - before
+        return tlb_access(self, as_addresses(addresses).tolist()).count(False)
 
     def run_trace(self, pcs, outcomes):
         before = self.mispredictions
-        for pc, taken in zip(np.asarray(pcs).tolist(),
-                             np.asarray(outcomes, dtype=bool).tolist()):
-            self.predict_and_update(pc, taken)
+        predict_and_update(self, np.asarray(pcs).tolist(),
+                           np.asarray(outcomes, dtype=bool).tolist())
         return self.mispredictions - before
 
     monkeypatch.setattr(SetAssociativeCache, "filter_misses", filter_misses)

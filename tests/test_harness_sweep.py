@@ -517,6 +517,57 @@ class TestCellPool:
         assert len(futures) == len(configs)
         assert pool.restarts == 0 and not pool._gen.cells
 
+    def test_workers_exit_when_their_owner_is_killed(self):
+        """A SIGKILLed pool owner leaves no live worker behind.
+
+        The owner, a subprocess, computes one cell on a ``CellPool(1)``
+        and prints the worker's pid; once the owner is killed the worker
+        must be gone (or a zombie, if nothing reaps it) within seconds.
+        """
+        import subprocess
+        import sys
+        import time
+        from pathlib import Path
+
+        import repro
+
+        script = (
+            "import time\n"
+            "from repro.harness.runner import RunConfig\n"
+            "from repro.harness.sweep import CellPool\n"
+            "config = RunConfig('crc', 'tiny', 'i7-6700K', samples=2,\n"
+            "                   execute=False)\n"
+            "pool = CellPool(1)  # held: a collected pool stops its worker\n"
+            "_, records, _, _ = pool.submit(config).result()\n"
+            "print(records[0]['worker_pid'], flush=True)\n"
+            "time.sleep(120)\n")
+        src = str(Path(repro.__file__).resolve().parents[1])
+        owner = subprocess.Popen(
+            [sys.executable, "-c", script], stdout=subprocess.PIPE,
+            text=True, env={**os.environ, "PYTHONPATH": src})
+        try:
+            worker = int(owner.stdout.readline())
+        finally:
+            owner.kill()
+            owner.wait()
+            owner.stdout.close()
+        deadline = time.monotonic() + 10
+        while (state := _process_state(worker)) not in (None, "Z"):
+            if time.monotonic() > deadline:
+                os.kill(worker, signal.SIGKILL)  # leave no orphan behind
+                break
+            time.sleep(0.05)
+        assert state in (None, "Z")
+
+
+def _process_state(pid: int) -> str | None:
+    """A process's state letter from ``/proc`` (``None``: no such process)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return None
+
 
 class TestSerialization:
     def test_result_payload_roundtrip(self):

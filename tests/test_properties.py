@@ -17,6 +17,7 @@ from repro.io import csrfile, ppm
 from repro.perfmodel import KernelProfile, kernel_time
 from repro.devices import get_device
 from repro.scibench import summarize
+from tests.cache_oracles import cache_access, tlb_access
 
 SLOW = settings(max_examples=40, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -38,11 +39,10 @@ def cache_and_trace(draw):
 @given(cache_and_trace())
 def test_cache_accounting_invariants(ct):
     cache, addresses = ct
-    for a in addresses:
-        cache.access(a)
+    cache_access(cache, addresses)
     s = cache.stats
     assert s.hits + s.misses == s.accesses == len(addresses)
-    assert 0 <= cache.lines_resident <= cache.n_sets * cache.associativity
+    assert 0 <= cache.resident.size <= cache.n_sets * cache.associativity
 
 
 @SLOW
@@ -50,17 +50,15 @@ def test_cache_accounting_invariants(ct):
 def test_cache_repeat_access_hits(ct):
     """Immediately re-accessing any address must hit."""
     cache, addresses = ct
-    for a in addresses:
-        cache.access(a)
-        assert cache.access(a) is True
+    hits = cache_access(cache, [a for a in addresses for _ in range(2)])
+    assert all(hits[1::2])
 
 
 @SLOW
 @given(st.lists(st.integers(0, 1 << 24), min_size=1, max_size=200))
 def test_tlb_never_more_resident_than_entries(addresses):
     tlb = TLB(entries=8)
-    for a in addresses:
-        tlb.access(a)
+    tlb_access(tlb, addresses)
     assert len(tlb._pages) <= 8
 
 

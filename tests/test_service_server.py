@@ -196,9 +196,11 @@ class TestCacheTopology:
             spec = f"remote://127.0.0.1:{service.port}"
             configs = [RunConfig("fft", "tiny", DEVICE, samples=SAMPLES),
                        RunConfig("csr", "tiny", DEVICE, samples=SAMPLES)]
-            a = run_sweep(configs, jobs=1, cache=SweepCache(spec))
+            with contextlib.closing(SweepCache(spec)) as worker_a:
+                a = run_sweep(configs, jobs=1, cache=worker_a)
             assert (a.computed, a.cached) == (2, 0)
-            b = run_sweep(configs, jobs=1, cache=SweepCache(spec))
+            with contextlib.closing(SweepCache(spec)) as worker_b:
+                b = run_sweep(configs, jobs=1, cache=worker_b)
             assert (b.computed, b.cached) == (0, 2)
             for ra, rb in zip(a.results, b.results):
                 np.testing.assert_array_equal(ra.times_s, rb.times_s)
@@ -220,9 +222,10 @@ class TestCacheTopology:
 
         with service_running(jobs=1,
                              cache=SweepCache(tmp_path)) as service:
-            backend = RemoteCacheBackend("127.0.0.1", service.port)
-            backend.write("result", "ab" * 32, b"blob")
-            assert backend.read("result", "ab" * 32) == b"blob"
+            with contextlib.closing(
+                    RemoteCacheBackend("127.0.0.1", service.port)) as backend:
+                backend.write("result", "ab" * 32, b"blob")
+                assert backend.read("result", "ab" * 32) == b"blob"
 
 
     def test_key_escaping_the_root_is_refused(self, tmp_path):

@@ -311,14 +311,15 @@ def stub_cache_server():
 class TestRemoteCacheBackend:
     def test_roundtrip(self, stub_cache_server):
         host, port = stub_cache_server.server_address
-        backend = RemoteCacheBackend(host, port, timeout_s=5.0)
         key = "ab" * 32
-        assert backend.read("result", key) is None
-        backend.write("result", key, b"remote-bytes")
-        assert backend.read("result", key) == b"remote-bytes"
-        assert backend.keys("result") == [key]
-        assert backend.delete("result", key) is True
-        assert backend.read("result", key) is None
+        with contextlib.closing(
+                RemoteCacheBackend(host, port, timeout_s=5.0)) as backend:
+            assert backend.read("result", key) is None
+            backend.write("result", key, b"remote-bytes")
+            assert backend.read("result", key) == b"remote-bytes"
+            assert backend.keys("result") == [key]
+            assert backend.delete("result", key) is True
+            assert backend.read("result", key) is None
 
     def test_unreachable_raises_backend_error(self):
         with socket.socket() as probe:
@@ -330,9 +331,10 @@ class TestRemoteCacheBackend:
 
     def test_server_error_raises_backend_error(self, stub_cache_server):
         host, port = stub_cache_server.server_address
-        backend = RemoteCacheBackend(host, port, timeout_s=5.0)
-        with pytest.raises(CacheBackendError):
-            backend._roundtrip({"type": "ping"})
+        with contextlib.closing(
+                RemoteCacheBackend(host, port, timeout_s=5.0)) as backend:
+            with pytest.raises(CacheBackendError):
+                backend._roundtrip({"type": "ping"})
 
     def test_dead_store_degrades_to_uncached_run(self, caplog):
         """A sweep pointed at an unreachable store still completes:
@@ -363,16 +365,49 @@ class TestRemoteCacheBackend:
         spec = f"remote://{host}:{port}"
         config = RunConfig("fft", "tiny", "i7-6700K", samples=4)
 
-        first = SweepCache(spec)
-        warm = run_sweep([config], jobs=1, cache=first)
+        with contextlib.closing(SweepCache(spec)) as first:
+            warm = run_sweep([config], jobs=1, cache=first)
         assert (warm.computed, warm.cached) == (1, 0)
 
-        second = SweepCache(spec)  # a different worker, same store
-        hit = run_sweep([config], jobs=1, cache=second)
+        # a different worker, same store
+        with contextlib.closing(SweepCache(spec)) as second:
+            hit = run_sweep([config], jobs=1, cache=second)
         assert (hit.computed, hit.cached) == (0, 1)
-        import numpy as np
         np.testing.assert_array_equal(
             warm.results[0].times_s, hit.results[0].times_s)
+
+    def test_sweepcache_close_releases_the_connection(self,
+                                                      stub_cache_server):
+        from repro.harness.sweep import SweepCache
+
+        host, port = stub_cache_server.server_address
+        cache = SweepCache(f"remote://{host}:{port}")
+        assert cache.get("ab" * 32) is None
+        sock, stream = cache.backend._conn
+        cache.close()
+        assert cache.backend._conn is None
+        assert sock.fileno() == -1 and stream.closed
+
+    def test_cli_closes_the_cache_it_opens(self, stub_cache_server,
+                                           monkeypatch, capsys):
+        from repro.harness import cli
+        from repro.harness.sweep import SweepCache
+
+        opened = []
+
+        class Recording(SweepCache):
+            def __init__(self, root):
+                super().__init__(root)
+                opened.append(self)
+
+        monkeypatch.setattr(cli, "SweepCache", Recording)
+        host, port = stub_cache_server.server_address
+        assert cli.main(["run", "fft", "--size", "tiny", "--device",
+                         "i7-6700K", "--samples", "3", "--no-execute",
+                         "--cache-dir", f"remote://{host}:{port}"]) == 0
+        assert "1 computed, 0 cached" in capsys.readouterr().out
+        assert [c.backend._conn for c in opened] == [None]
+        assert stub_cache_server.connections == 1
 
 
 @pytest.fixture()
@@ -444,7 +479,7 @@ class TestRemoteConnectionReuse:
             assert len(connection_attempts) == 2  # one reconnect
             assert restarted.connections == 1
         finally:
-            cache.backend.close()
+            cache.close()
             restarted.stop()
 
     def test_dead_hub_after_reuse_raises_after_one_retry(
