@@ -14,19 +14,20 @@ argue reproducible benchmarking needs:
   RNG with the process-stable :func:`~repro.harness.runner.cell_seed`,
   a parallel sweep produces samples **bit-identical** to a serial one;
 * **memoisation** — a :class:`SweepCache` persists each cell's
-  :class:`~repro.harness.runner.RunResult` keyed on a SHA-256 of the
-  :class:`~repro.harness.runner.RunConfig`, the full device spec and a
-  model-version stamp, so re-running a sweep only computes
-  missing/invalidated cells and an interrupted matrix resumes where it
-  stopped.
+  :func:`result_to_payload` dict, in one JSON envelope per cell, keyed
+  on a SHA-256 of the :class:`~repro.harness.runner.RunConfig`, the
+  full device spec and a model-version stamp, so re-running a sweep
+  only computes missing/invalidated cells and an interrupted matrix
+  resumes where it stopped.
 
 This module also owns what happens to a cell once its key is known,
 for both drivers — :func:`run_sweep` and the ``repro serve`` engine
 (:mod:`repro.service.jobs`):
 
-* :meth:`SweepCache.get` reads an entry, where any failure is a
-  logged miss, and :meth:`SweepCache.put` writes one, where a backend
-  failure is logged and swallowed;
+* :meth:`SweepCache.get` reads a payload, where any failure (an
+  entry that does not decode, names another cell or is unreachable) is
+  a logged and counted miss, and :meth:`SweepCache.put` writes one,
+  where a backend failure is logged, counted and swallowed;
 * :func:`adopt_cell` folds a worker's reply into this process: its
   JSONL records (tagged with the worker PID) into the run log, its
   metric snapshot into the registry, its spans under one per-cell span;
@@ -34,7 +35,8 @@ for both drivers — :func:`run_sweep` and the ``repro serve`` engine
   ``sweep_cells_computed_total`` counter pair and the
   ``cell_cached`` / ``cell_computed`` run-log records.
 
-The on-disk cache-entry layout is documented in ``docs/formats.md``.
+The cache-entry envelope and its one on-disk layout,
+``<root>/<key[:2]>/<key>.json``, are documented in ``docs/formats.md``.
 """
 
 from __future__ import annotations
@@ -42,13 +44,11 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
-import io
 import json
 import logging
 import os
 import threading
 import time
-import zipfile
 from collections import deque
 from concurrent.futures import Future, ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
@@ -81,14 +81,9 @@ _log = logging.getLogger(__name__)
 #: "2": RunResult payloads gained the per-cell ``counters`` dict.
 MODEL_VERSION = "2"
 
-#: On-disk cache entry format.  ``2`` is the sharded npz envelope
-#: (sample arrays as real numpy arrays, everything else in a JSON
-#: ``meta`` string); ``1`` is the legacy single-JSON-file envelope,
-#: still read transparently but never written.
-CACHE_FORMAT = 2
-
-#: The envelope version legacy ``.json`` entries must carry to be served.
-LEGACY_CACHE_FORMAT = 1
+#: Version of the JSON cache-entry envelope (``docs/formats.md``).  An
+#: entry carrying any other ``format`` is a miss.
+CACHE_FORMAT = 1
 
 
 def cell_key(config: RunConfig, model_version: str | None = None) -> str:
@@ -220,58 +215,27 @@ def result_from_payload(payload: dict) -> RunResult:
 # ----------------------------------------------------------------------
 # Content-addressed result cache
 # ----------------------------------------------------------------------
-def _encode_result_entry(entry: dict) -> bytes:
-    """Serialise a cache envelope to the npz blob (CACHE_FORMAT 2).
+def _decode_result_entry(blob: bytes, key: str) -> dict:
+    """The result payload of the JSON envelope ``blob`` stored as ``key``.
 
-    The timing/energy sample arrays — the bulk of every entry — are
-    stored as real numpy arrays; the rest of the envelope rides in a
-    single JSON ``meta`` string.
+    Raises one of :data:`_CORRUPT` on torn or alien bytes, another
+    envelope version, or an envelope whose ``key`` names another cell
+    (an entry copied or put under the wrong name) —
+    :meth:`SweepCache.get` maps that to a logged miss.
     """
-    payload = dict(entry["result"])
-    times = np.asarray(payload.pop("times_s"), dtype=float)
-    energies = np.asarray(payload.pop("energies_j"), dtype=float)
-    meta = dict(entry)
-    meta["result"] = payload
-    buffer = io.BytesIO()
-    np.savez_compressed(
-        buffer,
-        meta=np.asarray(json.dumps(meta, default=str)),
-        times_s=times,
-        energies_j=energies,
-    )
-    return buffer.getvalue()
-
-
-def _decode_result_entry(blob: bytes) -> dict:
-    """Rebuild a cache envelope from either on-disk representation.
-
-    npz blobs (zip magic) are the canonical format; anything else is
-    parsed as a legacy format-1 JSON envelope.  Raises one of
-    :data:`_CORRUPT` on torn or alien bytes — :meth:`SweepCache.get`
-    maps that to a logged miss.
-    """
-    if blob[:2] == b"PK":  # zip magic: the npz envelope
-        with np.load(io.BytesIO(blob), allow_pickle=False) as data:
-            entry = json.loads(str(data["meta"]))
-            if entry.get("format") != CACHE_FORMAT:
-                raise ValueError(
-                    f"cache entry format {entry.get('format')!r} != "
-                    f"{CACHE_FORMAT}")
-            entry["result"]["times_s"] = [float(t) for t in data["times_s"]]
-            entry["result"]["energies_j"] = [
-                float(e) for e in data["energies_j"]]
-            return entry
-    entry = json.loads(blob.decode("utf-8"))
-    if entry.get("format") != LEGACY_CACHE_FORMAT:
-        raise ValueError(
-            f"legacy cache entry format {entry.get('format')!r} != "
-            f"{LEGACY_CACHE_FORMAT}")
-    return entry
+    entry = json.loads(blob)
+    if not isinstance(entry, dict) or entry.get("format") != CACHE_FORMAT:
+        raise ValueError(f"not a format-{CACHE_FORMAT} cache entry")
+    if entry.get("key") != key:
+        raise ValueError(f"cache entry names cell {entry.get('key')!r}")
+    if not isinstance(entry.get("result"), dict):
+        raise ValueError("cache entry carries no result payload")
+    return entry["result"]
 
 
 #: What a torn, truncated or alien entry raises while being read or
 #: decoded (``CacheBackendError`` is an ``OSError``): all of it is a miss.
-_CORRUPT = (OSError, ValueError, KeyError, TypeError, zipfile.BadZipFile)
+_CORRUPT = (OSError, ValueError)
 
 #: Why a cache read was served as a miss or a write dropped: an entry
 #: that does not decode, or an unreachable or failing store.
@@ -285,31 +249,30 @@ def _degraded_counter():
 
 
 class SweepCache:
-    """Content-addressed store of per-cell :class:`RunResult` entries.
+    """Content-addressed store of per-cell result payloads.
 
-    Each entry lives under ``<key[:2]>/<key>.npz`` where ``key`` is
-    :func:`cell_key`'s SHA-256 over the cell's full configuration, the
+    Each entry is one JSON envelope (``docs/formats.md``) holding a
+    :func:`result_to_payload` dict, stored under ``key``, the
+    :func:`cell_key` SHA-256 over the cell's full configuration, the
     resolved device spec and the :data:`MODEL_VERSION` stamp.  Any
-    change to those inputs — different sample count, a re-parameterised
-    device, a model bump — yields a different key, so invalidation is
-    simply a miss; stale entries are never served.
+    change to those inputs — different sample count, a
+    re-parameterised device, a model bump — yields a different key, so
+    invalidation is simply a miss; stale entries are never served.
 
     Storage is pluggable (:class:`~repro.service.store.CacheBackend`):
     the default :class:`~repro.service.store.LocalCacheBackend` keeps
-    the sharded directory layout (and transparently reads entries from
-    the legacy flat/JSON layouts), while a
+    ``<root>/<key[:2]>/<key>.json`` files, while a
     :class:`~repro.service.store.RemoteCacheBackend`
     (``remote://host:port``) lets many worker hosts share the store of
     one ``repro serve --cache-only`` instance.  Encoding lives here, so
     every backend serves byte-identical entries.
 
-    Local writes are atomic (temp file + ``os.replace``) and parent shard
-    directories are created race-tolerantly, so concurrent processes
-    sharing a store never observe torn entries; torn *content* (a
-    truncated npz from a crashed legacy writer, a corrupt remote blob)
-    and an unreachable backend are read as a miss with a logged
-    warning, never a crash.  Each such fallback is counted in
-    ``sweep_cache_degraded_total{backend,op,reason}``.
+    Local writes are atomic (temp file + ``os.replace``), so concurrent
+    processes sharing a store never observe torn entries; torn
+    *content* (a truncated file, a corrupt remote blob, an envelope
+    naming another cell) and an unreachable backend are read as a miss
+    with a logged warning, never a crash.  Each such fallback is
+    counted in ``sweep_cache_degraded_total{backend,op,reason}``.
     """
 
     def __init__(self, root: str | Path | CacheBackend):
@@ -325,88 +288,58 @@ class SweepCache:
             backend="local" if isinstance(self.backend, LocalCacheBackend)
             else "remote", op=op, reason=reason)
 
-    # ------------------------------------------------------------------
-    def path_for(self, key: str) -> Path:
-        """Where a local backend stores ``key`` (whether or not it exists).
+    def get(self, key: str) -> dict | None:
+        """The cached result payload for ``key``, or ``None`` on a miss.
 
-        Only meaningful for :class:`LocalCacheBackend` storage; remote
-        stores have no client-visible paths.
-        """
-        if not isinstance(self.backend, LocalCacheBackend):
-            raise TypeError(
-                f"{self.backend.describe()} has no local entry paths")
-        return self.backend.path_for("result", key)
-
-    def get(self, key: str) -> RunResult | None:
-        """Load a cached result, or ``None`` on a miss.
-
-        A corrupt, torn or format-incompatible entry, and a backend
-        failure (an unreachable remote store), are a miss with a logged
-        warning rather than an error — a half-written file from a
-        killed run must not wedge resumes.
+        A corrupt, torn, format-incompatible or misaddressed entry, and
+        a backend failure (an unreachable remote store), are a miss
+        with a logged warning rather than an error — a half-written
+        file from a killed run must not wedge resumes.
         """
         with get_tracer().span("sweep_cache_get", phase="cache_io",
                                key=key) as sp:
             try:
                 blob = self.backend.read("result", key)
-                value = None if blob is None else result_from_payload(
-                    _decode_result_entry(blob)["result"])
+                payload = None if blob is None else _decode_result_entry(
+                    blob, key)
             except _CORRUPT as exc:
                 _log.warning("treating result cache entry %s as a miss "
                              "(corrupt or unreachable): %s", key, exc)
                 self._degraded("read", "backend"
                                if isinstance(exc, CacheBackendError)
                                else "corrupt")
-                value = None
-            sp.set_attribute("hit", value is not None)
-            return value
+                payload = None
+            sp.set_attribute("hit", payload is not None)
+            return payload
 
-    def put(self, key: str, config: RunConfig,
-            result: RunResult) -> Path | str:
-        """Persist one cell's result under ``key``.
+    def put(self, key: str, config: RunConfig, payload: dict) -> None:
+        """Persist one cell's result payload under ``key``.
 
-        Returns the entry path for local backends (the historical
-        contract), the key for path-less remote backends.  A backend
-        write failure is logged and swallowed — losing a cache entry
-        must not take the run down.
+        A backend write failure is logged and swallowed — losing a
+        cache entry must not take the run down.
         """
         with get_tracer().span("sweep_cache_put", phase="cache_io", key=key):
+            blob = json.dumps({
+                "format": CACHE_FORMAT,
+                "model_version": MODEL_VERSION,
+                "key": key,
+                "config": dataclasses.asdict(config),
+                "created_unix": time.time(),
+                "result": payload,
+            }, default=str).encode()
             try:
-                self.backend.write("result", key, _encode_result_entry({
-                    "format": CACHE_FORMAT,
-                    "model_version": MODEL_VERSION,
-                    "key": key,
-                    "config": dataclasses.asdict(config),
-                    "created_unix": time.time(),
-                    "result": result_to_payload(result),
-                }))
+                self.backend.write("result", key, blob)
             except CacheBackendError as exc:
                 _log.warning("sweep cache backend failed to store "
                              "result %s: %s", key, exc)
                 self._degraded("write", "backend")
-                return key
-        if isinstance(self.backend, LocalCacheBackend):
-            return self.backend.path_for("result", key)
-        return key
-
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self.backend.keys("result"))
-
-    def clear(self) -> int:
-        """Delete every result entry; returns how many were removed."""
-        removed = 0
-        for key in self.backend.keys("result"):
-            if self.backend.delete("result", key):
-                removed += 1
-        return removed
 
     def close(self) -> None:
         """Release the backend's connection, if it holds one."""
         self.backend.close()
 
     def __repr__(self) -> str:
-        return f"<SweepCache {self.backend.describe()}: {len(self)} entries>"
+        return f"<SweepCache {self.backend.describe()}>"
 
 
 # ----------------------------------------------------------------------
@@ -689,7 +622,7 @@ def run_sweep(
     degraded_before = _degraded_counter().totals_by("reason")
     if runlog is not None:
         runlog.write("sweep_start", cells=len(configs), jobs=jobs,
-                     cache_dir=str(cache.root) if cache else None,
+                     cache_dir=str(cache.root) if cache is not None else None,
                      refresh=refresh)
 
     keys = [cell_key(c) if cache is not None else None for c in configs]
@@ -703,9 +636,12 @@ def run_sweep(
         return dict(benchmark=config.benchmark, size=config.size,
                     device=config.device, cached=cached, key=keys[i])
 
-    def finish(i: int, result: RunResult) -> None:
+    def finish(i: int, result: RunResult, payload: dict | None) -> None:
+        # ``payload``: the worker's serialisation of ``result``, if any
         if cache is not None:
-            cache.put(keys[i], configs[i], result)
+            if payload is None:
+                payload = result_to_payload(result)
+            cache.put(keys[i], configs[i], payload)
         count_cell(registry, runlog, configs[i], keys[i], cached=False)
         results[i] = result
 
@@ -721,13 +657,13 @@ def run_sweep(
             with tracer.span("sweep_cell", **cell_attrs(i, True)):
                 pass
             count_cell(registry, runlog, config, keys[i], cached=True)
-            results[i] = hit
+            results[i] = result_from_payload(hit)
 
         if jobs == 1:
             for i in pending:
                 with tracer.span("sweep_cell", **cell_attrs(i, False)):
                     result = run_benchmark(configs[i], runlog=runlog)
-                finish(i, result)
+                finish(i, result, None)
         elif pending:
             trace_ctx = tracer.propagation_context()
             with closing(CellPool(jobs, registry)) as pool:
@@ -744,7 +680,7 @@ def run_sweep(
                         continue
                     payload = adopt_cell(reply, runlog, registry,
                                          "sweep_cell", **cell_attrs(i, False))
-                    finish(i, result_from_payload(payload))
+                    finish(i, result_from_payload(payload), payload)
                 restarts = pool.restarts
 
     wall_s = time.perf_counter() - start

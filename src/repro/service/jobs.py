@@ -32,7 +32,9 @@ What happens to a cell once its key is known is the batch engine's
 ``run_matrix`` output; per-cell seeds are process-stable),
 ``adopt_cell`` to fold the reply in under a completion-time
 ``service_job`` span, and ``count_cell`` for the ``sweep_cells_*``
-counters and ``cell_*`` run-log records.  On top of that the engine
+counters and ``cell_*`` run-log records.  Payloads pass through as
+they are: a cache hit is sent as read, and a worker's payload is
+stored and sent as received.  On top of that the engine
 maintains the service instruments —
 ``service_queue_depth`` / ``service_jobs_inflight`` gauges,
 ``service_requests_total`` / ``service_dedup_hits_total`` /
@@ -58,8 +60,6 @@ from ..harness.sweep import (
     adopt_cell,
     cell_key,
     count_cell,
-    result_from_payload,
-    result_to_payload,
 )
 from ..telemetry.metrics import default_registry
 from ..telemetry.runlog import get_default_runlog
@@ -346,11 +346,12 @@ class ServiceEngine:
                      job_id=job.job_id, key=job.key)
         try:
             with self._inflight.track_inprogress():
-                hit = None
+                payload = None
                 if self.cache is not None:
-                    hit = await asyncio.to_thread(self.cache.get, job.key)
-                if hit is not None:
-                    payload = result_to_payload(hit)
+                    payload = await asyncio.to_thread(self.cache.get,
+                                                      job.key)
+                cached = payload is not None
+                if cached:
                     self._cache_hits.inc()
                     with tracer.span("service_job", **attrs, cached=True):
                         pass
@@ -365,11 +366,10 @@ class ServiceEngine:
                                          cached=False)
                     if self.cache is not None:
                         await asyncio.to_thread(
-                            self.cache.put, job.key, config,
-                            result_from_payload(payload))
+                            self.cache.put, job.key, config, payload)
                 count_cell(self.registry, self.runlog, config, job.key,
-                           cached=hit is not None)
-                self._finish(job, payload, cached=hit is not None)
+                           cached=cached)
+                self._finish(job, payload, cached=cached)
         except Exception as exc:  # surface to every subscriber
             job.state = FAILED
             self._by_key.pop(job.key, None)

@@ -23,7 +23,7 @@ Request types (client -> server)::
     metrics        Prometheus text exposition of the service registry
     ping           liveness probe
     shutdown       ask the server to drain and exit
-    cache_get / cache_put / cache_keys / cache_delete
+    cache_get / cache_put
                    remote-cache operations (``--cache-only`` mode)
 
 Response types (server -> client)::
@@ -35,7 +35,7 @@ Response types (server -> client)::
     error          the request could not be honoured
     metrics        the exposition text
     pong / bye     ping / shutdown acknowledgements
-    cache_blob / cache_ok / cache_keys
+    cache_blob / cache_ok
                    remote-cache replies
 """
 
@@ -55,13 +55,12 @@ MAX_LINE_BYTES = 16 * 1024 * 1024
 
 REQUEST_TYPES = frozenset({
     "submit", "submit_matrix", "cancel", "metrics", "ping", "shutdown",
-    "cache_get", "cache_put", "cache_keys", "cache_delete",
+    "cache_get", "cache_put",
 })
 
 #: Request types valid against a ``--cache-only`` instance.
 CACHE_REQUEST_TYPES = frozenset({
-    "cache_get", "cache_put", "cache_keys", "cache_delete",
-    "ping", "metrics", "shutdown",
+    "cache_get", "cache_put", "ping", "metrics", "shutdown",
 })
 
 #: Blob kinds the cache protocol addresses: the sweep store holds
@@ -137,14 +136,12 @@ def validate_request(record: dict, cache_only: bool = False) -> str | None:
                         "strings or null (null = every registered one)")
     if rtype == "cancel" and "id" not in record and "job_id" not in record:
         return "cancel requires an `id` or `job_id` field"
-    if rtype in ("cache_get", "cache_put", "cache_delete"):
+    if rtype in ("cache_get", "cache_put"):
         if record.get("kind") not in CACHE_KINDS:
             return f"cache kind must be one of {CACHE_KINDS}"
         key = record.get("key")
         if not (isinstance(key, str) and _CACHE_KEY.fullmatch(key)):
             return f"{rtype} requires a `key` of 64 lowercase hex characters"
-    if rtype == "cache_keys" and record.get("kind") not in CACHE_KINDS:
-        return f"cache kind must be one of {CACHE_KINDS}"
     if rtype == "cache_put" and not isinstance(record.get("data"), str):
         return "cache_put requires base64 `data`"
     return None

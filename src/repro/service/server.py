@@ -258,14 +258,6 @@ class BenchService:
                 await loop.run_in_executor(
                     None, backend.write, kind, record["key"], blob)
                 await send({"type": "cache_ok", "id": rid})
-            elif rtype == "cache_keys":
-                keys = await loop.run_in_executor(None, backend.keys, kind)
-                await send({"type": "cache_keys", "id": rid, "keys": keys})
-            elif rtype == "cache_delete":
-                deleted = await loop.run_in_executor(
-                    None, backend.delete, kind, record["key"])
-                await send({"type": "cache_ok", "id": rid,
-                            "deleted": bool(deleted)})
         except (OSError, protocol.ProtocolError) as exc:
             await send(protocol.error(rid, str(exc)))
 

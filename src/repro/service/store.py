@@ -5,16 +5,15 @@ files; the benchmark service needs the same content-addressed store to
 be shareable between workers and hosts, so the storage mechanics are
 extracted here behind a minimal byte-oriented protocol:
 
-* :class:`CacheBackend` — the contract: opaque blobs addressed by
-  ``(kind, key)`` where ``kind`` is ``"result"`` (per-cell
-  :class:`~repro.harness.runner.RunResult` entries, the one kind) and
-  ``key`` is the SHA-256 content address.  Backends move bytes;
-  *encoding* (npz layout, format stamps, corruption handling) stays in
+* :class:`CacheBackend` — the contract: ``read`` and ``write`` of
+  opaque blobs addressed by ``(kind, key)`` where ``kind`` is
+  ``"result"`` (per-cell result entries, the one kind) and ``key`` is
+  the SHA-256 content address.  Backends move bytes; *encoding* (the
+  JSON envelope, its format stamp, corruption handling) stays in
   ``SweepCache`` so every backend serves byte-identical entries.
-* :class:`LocalCacheBackend` — the on-disk layout: sharded
-  ``<root>/<key[:2]>/<key>.npz`` entries (``docs/formats.md``) with
-  atomic writes, plus transparent reads of the two legacy layouts
-  (sharded ``<key[:2]>/<key>.json`` and flat ``<key>.json``).
+* :class:`LocalCacheBackend` — the on-disk layout: one sharded
+  ``<root>/<key[:2]>/<key>.json`` file per entry (``docs/formats.md``)
+  with atomic writes.
 * :class:`RemoteCacheBackend` — a client of a ``repro serve
   --cache-only`` instance, so multiple worker hosts share one store
   (the GEMMbench collaborative-repository topology).  It keeps one
@@ -34,7 +33,7 @@ import os
 import socket
 import threading
 from pathlib import Path
-from typing import BinaryIO, Iterator, Protocol, runtime_checkable
+from typing import BinaryIO, Protocol, runtime_checkable
 
 from .protocol import (
     CACHE_KINDS,
@@ -79,14 +78,6 @@ class CacheBackend(Protocol):
         """Store ``blob`` under ``(kind, key)``, atomically."""
         ...
 
-    def keys(self, kind: str) -> list[str]:
-        """Every key currently stored under ``kind`` (sorted)."""
-        ...
-
-    def delete(self, kind: str, key: str) -> bool:
-        """Remove one entry; returns whether it existed."""
-        ...
-
     def describe(self) -> str:
         """Human-readable location (shown in sweep summaries)."""
         ...
@@ -102,16 +93,13 @@ class CacheBackend(Protocol):
 class LocalCacheBackend:
     """Sharded on-disk blob store (the default backend).
 
-    Canonical entry path::
+    Entry path::
 
-        result   <root>/<key[:2]>/<key>.npz
+        result   <root>/<key[:2]>/<key>.json
 
-    ``read`` additionally consults the legacy *result* layouts written
-    by earlier releases — sharded ``<key[:2]>/<key>.json`` and flat
-    ``<key>.json`` — so an existing cache keeps serving hits across
-    the layout change; new writes always use the npz layout.  An
-    ``analysis/`` subtree left by older releases is never read, listed
-    or deleted.
+    Nothing else under the root is read or touched: entries that
+    older releases wrote in another format or layout, and their
+    ``analysis/`` subtree, stay as they are.
 
     Writes are atomic: parent directories are created race-tolerantly
     (``exist_ok=True`` — two processes sharing a store may shard
@@ -119,8 +107,8 @@ class LocalCacheBackend:
     (pid and thread id, next to the entry, so concurrent writers of one
     key never share one), and ``os.replace`` publishes it.  A reader
     can therefore never observe a torn entry under this backend; torn
-    *content* (e.g. a file truncated by a crashed legacy writer or a
-    full disk) is the decoder's to treat as a miss.
+    *content* (e.g. a file truncated by a full disk or copied in from
+    elsewhere) is the decoder's to treat as a miss.
     """
 
     def __init__(self, root: str | Path):
@@ -129,26 +117,19 @@ class LocalCacheBackend:
 
     # ------------------------------------------------------------------
     def path_for(self, kind: str, key: str) -> Path:
-        """The canonical (npz) path for ``(kind, key)``."""
+        """Where ``(kind, key)`` is stored (whether or not it exists)."""
         _check_kind(kind)
-        return self.root / key[:2] / f"{key}.npz"
+        return self.root / key[:2] / f"{key}.json"
 
-    def legacy_paths(self, kind: str, key: str) -> list[Path]:
-        """Older result layouts consulted on read, newest first."""
-        return [self.root / key[:2] / f"{key}.json",
-                self.root / f"{key}.json"]
-
-    # ------------------------------------------------------------------
     def read(self, kind: str, key: str) -> bytes | None:
-        for path in (self.path_for(kind, key), *self.legacy_paths(kind, key)):
-            try:
-                return path.read_bytes()
-            except FileNotFoundError:
-                continue
-            except OSError as exc:
-                raise CacheBackendError(
-                    f"cannot read cache entry {path}: {exc}") from exc
-        return None
+        path = self.path_for(kind, key)
+        try:
+            return path.read_bytes()
+        except FileNotFoundError:
+            return None
+        except OSError as exc:
+            raise CacheBackendError(
+                f"cannot read cache entry {path}: {exc}") from exc
 
     def write(self, kind: str, key: str, blob: bytes) -> None:
         path = self.path_for(kind, key)
@@ -166,31 +147,11 @@ class LocalCacheBackend:
             raise CacheBackendError(
                 f"cannot write cache entry {path}: {exc}") from exc
 
-    def keys(self, kind: str) -> list[str]:
-        _check_kind(kind)
-        return sorted({path.stem for path in self._entry_paths()})
-
-    def delete(self, kind: str, key: str) -> bool:
-        existed = False
-        for path in (self.path_for(kind, key), *self.legacy_paths(kind, key)):
-            if path.exists():
-                path.unlink(missing_ok=True)
-                existed = True
-        return existed
-
     def describe(self) -> str:
         return str(self.root)
 
     def close(self) -> None:
         """Nothing to release: each operation opens and closes its files."""
-
-    # ------------------------------------------------------------------
-    def _entry_paths(self) -> Iterator[Path]:
-        # Canonical npz shards, then both legacy layouts.  Two-level
-        # globs never reach analysis/<xx>/<key>.npz.
-        yield from self.root.glob("*/*.npz")
-        yield from self.root.glob("*/*.json")
-        yield from self.root.glob("*.json")
 
     def __repr__(self) -> str:
         return f"<LocalCacheBackend {self.root}>"
@@ -332,17 +293,6 @@ class RemoteCacheBackend:
         _check_kind(kind)
         self._roundtrip({"type": "cache_put", "kind": kind, "key": key,
                          "data": blob_to_wire(blob)})
-
-    def keys(self, kind: str) -> list[str]:
-        _check_kind(kind)
-        response = self._roundtrip({"type": "cache_keys", "kind": kind})
-        return sorted(str(k) for k in response.get("keys", []))
-
-    def delete(self, kind: str, key: str) -> bool:
-        _check_kind(kind)
-        response = self._roundtrip(
-            {"type": "cache_delete", "kind": kind, "key": key})
-        return bool(response.get("deleted"))
 
     def describe(self) -> str:
         return f"remote://{self.host}:{self.port}"

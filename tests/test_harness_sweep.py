@@ -12,9 +12,15 @@ Acceptance pins for ISSUE 2's tentpole:
 
 import hashlib
 import importlib
+import io
 import json
 import os
 import signal
+import subprocess
+import sys
+import time
+from contextlib import closing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +40,36 @@ from repro.harness.sweep import (
 )
 from repro.telemetry.metrics import default_registry
 from repro.telemetry.runlog import memory_runlog
+
+
+def _entry_path(root, key):
+    """Where a local store keeps ``key``'s entry."""
+    return root / key[:2] / f"{key}.json"
+
+
+def _files(root):
+    """Every file under ``root``, as paths relative to it."""
+    return sorted(p.relative_to(root) for p in root.rglob("*")
+                  if p.is_file())
+
+
+def _payload_bytes(results):
+    """Results as the exact JSON text of their payloads."""
+    return [json.dumps(result_to_payload(r), sort_keys=True)
+            for r in results]
+
+
+def _old_release_blob(entry):
+    """A cache entry as releases that wrote npz entries encoded it."""
+    payload = dict(entry["result"])
+    times = np.asarray(payload.pop("times_s"), dtype=float)
+    energies = np.asarray(payload.pop("energies_j"), dtype=float)
+    buffer = io.BytesIO()
+    np.savez_compressed(
+        buffer, meta=np.asarray(json.dumps(
+            {**entry, "format": 2, "result": payload}, default=str)),
+        times_s=times, energies_j=energies)
+    return buffer.getvalue()
 
 
 def _configs(samples=6, execute=False):
@@ -115,7 +151,7 @@ class TestSweepCache:
         configs = _configs()
         first = run_sweep(configs, jobs=1, cache=cache)
         assert (first.computed, first.cached) == (4, 0)
-        assert len(cache) == 4
+        assert len(_files(tmp_path)) == 4
         second = run_sweep(configs, jobs=1, cache=cache)
         assert (second.computed, second.cached) == (0, 4)
         assert registry.counter("sweep_cells_computed_total").total == 4
@@ -179,7 +215,7 @@ class TestSweepCache:
         config = RunConfig("fft", "tiny", "i7-6700K", samples=4)
         run_sweep([config], jobs=1, cache=cache)
         key = cell_key(config)
-        cache.path_for(key).write_text("{ truncated garbage")
+        _entry_path(tmp_path, key).write_text("{ truncated garbage")
         with caplog.at_level("WARNING", logger="repro.harness.sweep"):
             assert cache.get(key) is None
         assert any("miss" in r.message for r in caplog.records)
@@ -188,19 +224,22 @@ class TestSweepCache:
         assert cache.get(key) is not None
 
     def test_torn_npz_entry_is_a_logged_miss(self, tmp_path, caplog):
-        """A partially-written npz (killed mid-write, full disk) must
-        read as a miss with a warning, never crash the sweep."""
+        """An npz entry put under this key by an older release, whole
+        or torn, reads as a miss with a warning, never a crash; the
+        sweep recomputes the cell and rewrites it as JSON."""
         cache = SweepCache(tmp_path)
         config = RunConfig("fft", "tiny", "i7-6700K", samples=4)
         run_sweep([config], jobs=1, cache=cache)
         key = cell_key(config)
-        path = cache.path_for(key)
-        blob = path.read_bytes()
-        assert blob[:2] == b"PK" and path.suffix == ".npz"
-        path.write_bytes(blob[: len(blob) // 2])  # torn: half the zip
-        with caplog.at_level("WARNING", logger="repro.harness.sweep"):
-            assert cache.get(key) is None
-        assert any("corrupt" in r.message for r in caplog.records)
+        path = _entry_path(tmp_path, key)
+        blob = _old_release_blob(json.loads(path.read_bytes()))
+        assert blob[:2] == b"PK"
+        for stored in (blob, blob[: len(blob) // 2]):  # whole, then torn
+            path.write_bytes(stored)
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="repro.harness.sweep"):
+                assert cache.get(key) is None
+            assert any("corrupt" in r.message for r in caplog.records)
         outcome = run_sweep([config], jobs=1, cache=cache)
         assert outcome.computed == 1  # recomputed and healed
         assert cache.get(key) is not None
@@ -211,29 +250,49 @@ class TestSweepCache:
         run_sweep(configs, jobs=1, cache=cache)
         outcome = run_sweep(configs, jobs=1, cache=cache, refresh=True)
         assert (outcome.computed, outcome.cached) == (2, 0)
-        assert len(cache) == 2
+        assert len(_files(tmp_path)) == 2
 
     def test_format_stamp_checked(self, tmp_path):
-        from repro.harness.sweep import (
-            _decode_result_entry,
-            _encode_result_entry,
-        )
         cache = SweepCache(tmp_path)
         config = RunConfig("fft", "tiny", "i7-6700K", samples=4)
         run_sweep([config], jobs=1, cache=cache)
         key = cell_key(config)
-        entry = _decode_result_entry(cache.path_for(key).read_bytes())
+        path = _entry_path(tmp_path, key)
+        entry = json.loads(path.read_bytes())
         assert entry["format"] == CACHE_FORMAT
         entry["format"] = CACHE_FORMAT + 1
-        cache.path_for(key).write_bytes(_encode_result_entry(entry))
+        path.write_text(json.dumps(entry))
         assert cache.get(key) is None
 
+    def test_swapped_entries_are_corrupt_misses(self, tmp_path):
+        """An envelope whose ``key`` names another cell (a shard copied
+        under the wrong name) is a counted miss, never that cell's
+        result served for this one."""
+        cache = SweepCache(tmp_path)
+        configs = _configs()[:2]
+        run_sweep(configs, jobs=1, cache=cache)
+        a, b = (_entry_path(tmp_path, cell_key(c)) for c in configs)
+        blob_a, blob_b = a.read_bytes(), b.read_bytes()
+        a.write_bytes(blob_b)
+        b.write_bytes(blob_a)
+        labels = dict(backend="local", op="read", reason="corrupt")
+        before = _degraded(**labels)
+        assert [cache.get(cell_key(c)) for c in configs] == [None, None]
+        assert _degraded(**labels) == before + 2
+        outcome = run_sweep(configs, jobs=1, cache=cache)
+        assert (outcome.computed, outcome.cached) == (2, 0)
+        assert (_payload_bytes(outcome.results)
+                == _payload_bytes(run_sweep(configs, jobs=1).results))
+        assert (a.read_bytes(), b.read_bytes()) != (blob_b, blob_a)
+
     def test_legacy_json_layouts_served(self, tmp_path):
-        """Entries written by the pre-npz layouts — sharded and flat
-        JSON — are still served transparently."""
+        """A sharded JSON entry as the pre-npz release wrote it (indented,
+        its own ``created_unix``) is served; a flat ``<key>.json`` from
+        the layout before that is neither read, nor counted as degraded,
+        nor touched."""
         import dataclasses
 
-        from repro.harness.sweep import LEGACY_CACHE_FORMAT, MODEL_VERSION
+        from repro.harness.sweep import MODEL_VERSION
 
         cache = SweepCache(tmp_path)
         configs = _configs()[:2]
@@ -242,34 +301,62 @@ class TestSweepCache:
                 ("sharded", "flat"), zip(configs, fresh.results)):
             key = cell_key(config)
             entry = json.dumps({
-                "format": LEGACY_CACHE_FORMAT,
+                "format": 1,
                 "model_version": MODEL_VERSION,
                 "key": key,
                 "config": dataclasses.asdict(config),
                 "created_unix": 0.0,
                 "result": result_to_payload(result),
-            }, default=str)
+            }, indent=2, default=str)
             if layout == "sharded":
                 path = tmp_path / key[:2] / f"{key}.json"
                 path.parent.mkdir(parents=True, exist_ok=True)
             else:
-                path = tmp_path / f"{key}.json"
+                path = flat = tmp_path / f"{key}.json"
             path.write_text(entry)
-        assert len(cache) == 2
+        flat_text = flat.read_text()
+        degraded = default_registry().counter(
+            "sweep_cache_degraded_total").total
         outcome = run_sweep(configs, jobs=1, cache=cache)
-        assert (outcome.computed, outcome.cached) == (0, 2)
-        for a, b in zip(fresh.results, outcome.results):
-            np.testing.assert_array_equal(a.times_s, b.times_s)
-            np.testing.assert_array_equal(a.energies_j, b.energies_j)
+        assert (outcome.computed, outcome.cached) == (1, 1)
+        assert (_payload_bytes(outcome.results)
+                == _payload_bytes(fresh.results))
+        assert default_registry().counter(
+            "sweep_cache_degraded_total").total == degraded
+        assert flat.read_text() == flat_text
 
-    def test_entries_land_in_sharded_npz_layout(self, tmp_path):
+    def test_mixed_release_fleet_never_serves_a_wrong_payload(
+            self, tmp_path):
+        """Old and new releases sharing one store: a new reader counts an
+        old release's npz entry as a corrupt miss, and an old reader
+        decodes a new entry (its legacy format-1 JSON) to the exact
+        payload that was stored."""
+        cache = SweepCache(tmp_path)
+        config = RunConfig("fft", "tiny", "i7-6700K", samples=4)
+        [result] = run_sweep([config], jobs=1, cache=cache).results
+        key = cell_key(config)
+        path = _entry_path(tmp_path, key)
+        blob = path.read_bytes()
+        # an older release read any non-zip blob as a format-1 JSON envelope
+        old_read = json.loads(blob.decode("utf-8"))
+        assert old_read["format"] == 1
+        assert old_read["result"] == result_to_payload(result)
+
+        path.write_bytes(_old_release_blob(old_read))
+        labels = dict(backend="local", op="read", reason="corrupt")
+        before = _degraded(**labels)
+        again = run_sweep([config], jobs=1, cache=cache)
+        assert again.computed == 1 and _degraded(**labels) == before + 1
+        assert _payload_bytes(again.results) == _payload_bytes([result])
+
+    def test_entries_land_in_sharded_json_layout(self, tmp_path):
         cache = SweepCache(tmp_path)
         config = RunConfig("fft", "tiny", "i7-6700K", samples=4)
         run_sweep([config], jobs=1, cache=cache)
         key = cell_key(config)
-        path = cache.path_for(key)
-        assert path == tmp_path / key[:2] / f"{key}.npz"
-        assert path.exists()
+        assert _files(tmp_path) == [Path(key[:2], f"{key}.json")]
+        entry = json.loads(_entry_path(tmp_path, key).read_bytes())
+        assert (entry["format"], entry["key"]) == (CACHE_FORMAT, key)
 
     def test_sweep_persists_results_only(self, tmp_path):
         """A cached sweep writes no ``analysis/`` tree, and a rerun
@@ -286,12 +373,13 @@ class TestSweepCache:
         assert not (tmp_path / "analysis").exists()
 
     def test_root_with_analysis_subtree_still_serves(self, tmp_path):
-        """A root written by older releases — result shards plus an
-        ``analysis/<xx>/<key>.npz`` artifact tree — keeps serving its
-        results; the stale tree is neither counted nor cleared."""
+        """A root written by older releases — ``.npz`` result shards
+        plus an ``analysis/<xx>/<key>.npz`` artifact tree — keeps
+        serving its JSON entries; the old files are neither read, nor
+        counted as degraded, nor modified."""
         cache = SweepCache(tmp_path)
-        configs = _configs()[:2]
-        first = run_sweep(configs, jobs=1, cache=cache)
+        configs = _configs()[:3]
+        first = run_sweep(configs[:2], jobs=1, cache=cache)
         key = hashlib.sha256(json.dumps(
             {"artifact_version": "3", "benchmark": "fft", "size": "tiny",
              "trace_len": 120_000}, sort_keys=True).encode()).hexdigest()
@@ -302,21 +390,30 @@ class TestSweepCache:
             trace=np.arange(64, dtype=np.int64),
             branch_pcs=np.zeros(64, dtype=np.int64),
             branch_outcomes=np.ones(64, dtype=bool))
-        blob = stale.read_bytes()
-        assert len(cache) == 2
+        # An npz shard next to a JSON entry, and one for an uncached cell.
+        for config in (configs[0], configs[2]):
+            key = cell_key(config)
+            result = run_benchmark(config)
+            result.times_s = result.times_s * 2  # would be a wrong hit
+            _entry_path(tmp_path, key).with_suffix(".npz").parent.mkdir(
+                exist_ok=True)
+            _entry_path(tmp_path, key).with_suffix(".npz").write_bytes(
+                _old_release_blob({"format": 2, "key": key,
+                                   "result": result_to_payload(result)}))
+        old = {path: (tmp_path / path).read_bytes()
+               for path in _files(tmp_path) if path.suffix == ".npz"}
+        assert len(old) == 3
+        degraded = default_registry().counter(
+            "sweep_cache_degraded_total").total
         second = run_sweep(configs, jobs=1, cache=cache)
-        assert (second.computed, second.cached) == (0, 2)
-        assert ([result_to_payload(r) for r in second.results]
-                == [result_to_payload(r) for r in first.results])
-        assert cache.clear() == 2
-        assert len(cache) == 0
-        assert stale.read_bytes() == blob
-
-    def test_clear(self, tmp_path):
-        cache = SweepCache(tmp_path)
-        run_sweep(_configs()[:2], jobs=1, cache=cache)
-        assert cache.clear() == 2
-        assert len(cache) == 0
+        assert (second.computed, second.cached) == (1, 2)
+        assert (_payload_bytes(second.results)
+                == _payload_bytes(first.results)
+                + _payload_bytes(run_sweep(configs[2:], jobs=1).results))
+        assert default_registry().counter(
+            "sweep_cache_degraded_total").total == degraded
+        assert {path: (tmp_path / path).read_bytes()
+                for path in old} == old
 
 
 def _degraded(**labels):
@@ -328,11 +425,14 @@ class TestDegradedCounter:
     """Every read served as a miss and every dropped write is counted."""
 
     def test_truncated_npz_counts_corrupt_read(self, tmp_path):
+        """A truncated npz blob under the entry's name — what an older
+        release's write through a shared hub leaves — counts corrupt."""
         cache = SweepCache(tmp_path)
         config = RunConfig("fft", "tiny", "i7-6700K", samples=4)
         run_sweep([config], jobs=1, cache=cache)
-        path = cache.path_for(cell_key(config))
-        path.write_bytes(path.read_bytes()[:100])
+        path = _entry_path(tmp_path, cell_key(config))
+        path.write_bytes(
+            _old_release_blob(json.loads(path.read_bytes()))[:100])
         labels = dict(backend="local", op="read", reason="corrupt")
         before = _degraded(**labels)
         assert cache.get(cell_key(config)) is None
@@ -352,7 +452,8 @@ class TestDegradedCounter:
         config = RunConfig("fft", "tiny", "i7-6700K", samples=4)
         assert cache.get(cell_key(config)) is None
         assert _degraded(**read) == before[0] + 1
-        cache.put(cell_key(config), config, run_benchmark(config))
+        cache.put(cell_key(config), config,
+                  result_to_payload(run_benchmark(config)))
         assert _degraded(**write) == before[1] + 1
         assert _degraded(backend="remote", op="read",
                          reason="corrupt") == 0
@@ -361,7 +462,7 @@ class TestDegradedCounter:
         cache = SweepCache(tmp_path)
         config = RunConfig("fft", "tiny", "i7-6700K", samples=4)
         run_sweep([config], jobs=1, cache=cache)
-        path = cache.path_for(cell_key(config))
+        path = _entry_path(tmp_path, cell_key(config))
         path.write_bytes(path.read_bytes()[:100])
         runlog, buffer = memory_runlog()
         outcome = run_sweep([config], jobs=1, cache=cache, runlog=runlog)
@@ -374,6 +475,101 @@ class TestDegradedCounter:
         run_sweep([config], jobs=1, cache=cache, runlog=runlog)
         last = json.loads(buffer.getvalue().splitlines()[-1])
         assert last["cache_degraded"] == {"corrupt": 0, "backend": 0}
+
+
+def _last_sweep(buffer):
+    records = [json.loads(line) for line in buffer.getvalue().splitlines()]
+    return [r for r in records if r["event"] == "sweep_complete"][-1]
+
+
+def _start_hub(tmp_path):
+    """A ``repro serve --cache-only`` subprocess and its ``remote://`` spec."""
+    import repro
+
+    port_file = tmp_path / "hub.port"
+    src = str(Path(repro.__file__).resolve().parents[1])
+    hub = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--cache-only",
+         "--port", "0", "--port-file", str(port_file),
+         "--cache-dir", str(tmp_path / "hub")],
+        env={**os.environ, "PYTHONPATH": src},
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    deadline = time.monotonic() + 60
+    while not (port_file.exists() and port_file.read_text().strip()):
+        if hub.poll() is not None or time.monotonic() > deadline:
+            hub.kill()
+            pytest.fail("the cache hub did not start")
+        time.sleep(0.05)
+    return hub, f"remote://127.0.0.1:{port_file.read_text().strip()}"
+
+
+class TestFaultInjection:
+    """A store that fails mid-sweep costs recomputation, counted, and
+    never changes a payload: each sweep ends byte-identical to a clean
+    serial one."""
+
+    def test_entry_truncated_mid_sweep(self, tmp_path):
+        configs = _configs()
+        cache = SweepCache(tmp_path)
+        run_sweep(configs, jobs=1, cache=cache)
+        victim = _entry_path(tmp_path, cell_key(configs[2]))
+
+        class TruncatesAnEntry(SweepCache):
+            """Truncates a later cell's entry when the sweep reads the
+            first one, as a full disk or a crashed copy would."""
+
+            def get(self, key):
+                if victim.stat().st_size > 100:
+                    victim.write_bytes(victim.read_bytes()[:100])
+                return super().get(key)
+
+        runlog, buffer = memory_runlog()
+        outcome = run_sweep(configs, jobs=2, cache=TruncatesAnEntry(tmp_path),
+                            runlog=runlog)
+        assert (outcome.computed, outcome.cached) == (1, 3)
+        assert _last_sweep(buffer)["cache_degraded"] == {
+            "corrupt": 1, "backend": 0}
+        clean = _payload_bytes(run_sweep(configs, jobs=1).results)
+        assert _payload_bytes(outcome.results) == clean
+        healed = run_sweep(configs, jobs=1, cache=cache)
+        assert (healed.computed, healed.cached) == (0, 4)
+        assert _payload_bytes(healed.results) == clean
+
+    def test_hub_stopped_mid_matrix(self, tmp_path):
+        """A ``--cache-only`` hub killed after the pooled sweep's first
+        read: the other reads and every write degrade to counted
+        ``backend`` failures, and every cell is still measured."""
+        configs = _configs()
+        hub, spec = _start_hub(tmp_path)
+        try:
+            with closing(SweepCache(spec)) as warm:
+                run_sweep(configs[:2], jobs=1, cache=warm)
+
+            class StopsTheHub(SweepCache):
+                def get(self, key):
+                    payload = super().get(key)
+                    if hub.poll() is None:
+                        hub.kill()
+                        hub.wait()
+                    return payload
+
+            runlog, buffer = memory_runlog()
+            cache = StopsTheHub(spec)
+            cache.backend.timeout_s = 5.0
+            try:
+                outcome = run_sweep(configs, jobs=2, cache=cache,
+                                    runlog=runlog)
+            finally:
+                cache.close()
+        finally:
+            hub.kill()
+            hub.wait()
+        assert (outcome.computed, outcome.cached) == (3, 1)
+        # three reads and three writes found no hub
+        assert _last_sweep(buffer)["cache_degraded"] == {
+            "corrupt": 0, "backend": 6}
+        assert (_payload_bytes(outcome.results)
+                == _payload_bytes(run_sweep(configs, jobs=1).results))
 
 
 class TestResume:
@@ -603,7 +799,7 @@ class TestMatrixIntegration:
                        samples=4, cache=cache, jobs=2)
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x.times_s, y.times_s)
-        assert len(cache) == 2
+        assert len(_files(tmp_path)) == 2
 
     def test_legacy_sweep_name_still_crossover(self):
         """`from repro.harness import sweep` keeps meaning the

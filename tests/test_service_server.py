@@ -204,8 +204,8 @@ class TestCacheTopology:
             assert (b.computed, b.cached) == (0, 2)
             for ra, rb in zip(a.results, b.results):
                 np.testing.assert_array_equal(ra.times_s, rb.times_s)
-        # the hub's local store holds the sharded npz entries
-        assert len(list(hub_store.glob("*/*.npz"))) == 2
+        # the hub's local store holds the sharded JSON entries
+        assert len(list(hub_store.glob("*/*.json"))) == 2
 
     def test_cache_only_mode_refuses_submits(self, tmp_path):
         with service_running(cache_only=True,

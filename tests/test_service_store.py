@@ -75,12 +75,16 @@ class TestProtocol:
         assert validate_request(
             {"type": "cache_get", "kind": "artifact",
              "key": "ab" * 32}) is not None
+        for gone in ("cache_keys", "cache_delete"):
+            assert "unknown request type" in validate_request(
+                {"type": gone, "kind": "result", "key": "ab" * 32},
+                cache_only=True)
 
     @pytest.mark.parametrize("key", [
         "../x", "/etc/passwd", "ab" * 31 + "a", "AB" * 32,
         "../" + "a" * 61, None, 7])
     def test_validate_rejects_non_content_address_keys(self, key):
-        for rtype in ("cache_get", "cache_put", "cache_delete"):
+        for rtype in ("cache_get", "cache_put"):
             record = {"type": rtype, "kind": "result", "key": key,
                       "data": blob_to_wire(b"x")}
             assert "64 lowercase hex" in validate_request(record), rtype
@@ -101,13 +105,13 @@ class TestProtocol:
 # Local backend
 # ----------------------------------------------------------------------
 class TestLocalCacheBackend:
-    def test_sharded_npz_layout(self, tmp_path):
+    def test_sharded_json_layout(self, tmp_path):
         backend = LocalCacheBackend(tmp_path)
         key = "abcdef" + "0" * 58
         backend.write("result", key, b"result-bytes")
-        assert (tmp_path / "ab" / f"{key}.npz").read_bytes() == b"result-bytes"
+        assert (tmp_path / "ab" / f"{key}.json").read_bytes() == b"result-bytes"
         assert sorted(p.name for p in tmp_path.rglob("*")) == [
-            "ab", f"{key}.npz"]
+            "ab", f"{key}.json"]
 
     def test_read_miss_returns_none(self, tmp_path):
         backend = LocalCacheBackend(tmp_path)
@@ -160,43 +164,19 @@ class TestLocalCacheBackend:
         assert backend.read("result", key) in blobs
         assert not list(tmp_path.rglob("*.tmp"))
 
-    def test_legacy_layouts_consulted(self, tmp_path):
-        backend = LocalCacheBackend(tmp_path)
-        sharded, flat = "ab" + "1" * 62, "cd" + "2" * 62
-        (tmp_path / "ab").mkdir()
-        (tmp_path / "ab" / f"{sharded}.json").write_text("sharded-legacy")
-        (tmp_path / f"{flat}.json").write_text("flat-legacy")
-        assert backend.read("result", sharded) == b"sharded-legacy"
-        assert backend.read("result", flat) == b"flat-legacy"
-        assert backend.keys("result") == sorted([sharded, flat])
-
     def test_canonical_shadows_legacy(self, tmp_path):
+        """Files of older layouts (flat ``<key>.json``, sharded
+        ``.npz``) are never read, and a write leaves them as they are."""
         backend = LocalCacheBackend(tmp_path)
         key = "ab" + "3" * 62
-        (tmp_path / f"{key}.json").write_text("old")
+        (tmp_path / f"{key}.json").write_text("old-flat")
+        (tmp_path / "ab").mkdir()
+        (tmp_path / "ab" / f"{key}.npz").write_text("old-npz")
+        assert backend.read("result", key) is None
         backend.write("result", key, b"new")
         assert backend.read("result", key) == b"new"
-        assert backend.keys("result") == [key]  # deduped across layouts
-
-    def test_delete_covers_all_layouts(self, tmp_path):
-        backend = LocalCacheBackend(tmp_path)
-        key = "ab" + "4" * 62
-        backend.write("result", key, b"new")
-        (tmp_path / f"{key}.json").write_text("old")
-        assert backend.delete("result", key) is True
-        assert backend.read("result", key) is None
-        assert backend.delete("result", key) is False
-
-    def test_keys_excludes_artifacts(self, tmp_path):
-        """An ``analysis/`` subtree left by older releases is not listed."""
-        backend = LocalCacheBackend(tmp_path)
-        backend.write("result", "aa" + "5" * 62, b"r")
-        stale = tmp_path / "analysis" / "bb" / f"{'bb' + '6' * 62}.npz"
-        stale.parent.mkdir(parents=True)
-        stale.write_bytes(b"a")
-        assert backend.keys("result") == ["aa" + "5" * 62]
-        with pytest.raises(ValueError):
-            backend.keys("artifact")
+        assert (tmp_path / f"{key}.json").read_text() == "old-flat"
+        assert (tmp_path / "ab" / f"{key}.npz").read_text() == "old-npz"
 
     def test_kind_checked(self, tmp_path):
         backend = LocalCacheBackend(tmp_path)
@@ -261,14 +241,6 @@ class _StubCacheHandler(socketserver.StreamRequestHandler):
             store[(record["kind"], record["key"])] = blob_from_wire(
                 record["data"])
             return {"type": "cache_ok"}
-        if rtype == "cache_keys":
-            return {"type": "cache_keys",
-                    "keys": sorted(k for kind, k in store
-                                   if kind == record["kind"])}
-        if rtype == "cache_delete":
-            deleted = store.pop((record["kind"], record["key"]),
-                                None) is not None
-            return {"type": "cache_ok", "deleted": deleted}
         return {"type": "error", "id": record.get("id"),
                 "error": f"stub does not speak {rtype!r}"}
 
@@ -317,9 +289,8 @@ class TestRemoteCacheBackend:
             assert backend.read("result", key) is None
             backend.write("result", key, b"remote-bytes")
             assert backend.read("result", key) == b"remote-bytes"
-            assert backend.keys("result") == [key]
-            assert backend.delete("result", key) is True
-            assert backend.read("result", key) is None
+            assert stub_cache_server.store == {("result", key):
+                                               b"remote-bytes"}
 
     def test_unreachable_raises_backend_error(self):
         with socket.socket() as probe:
@@ -445,8 +416,6 @@ class TestRemoteConnectionReuse:
             assert backend.read("result", key) is None
             backend.write("result", key, bytes([i]) * 100)
             assert backend.read("result", key) == bytes([i]) * 100
-        assert backend.keys("result") == sorted(keys)
-        assert backend.delete("result", keys[0]) is True
         assert connection_attempts == [(host, port)]
         assert stub_cache_server.connections == 1
         backend.close()
@@ -473,7 +442,7 @@ class TestRemoteConnectionReuse:
         try:
             hit = cache.get(cell_key(config))
             assert hit is not None
-            np.testing.assert_array_equal(hit.times_s,
+            np.testing.assert_array_equal(hit["times_s"],
                                           warm.results[0].times_s)
             assert _remote_degraded() == before
             assert len(connection_attempts) == 2  # one reconnect
