@@ -19,27 +19,15 @@ Quickstart::
     bench = create("fft", "medium")
     bench.run_complete(context, queue)   # executes + validates
     print(queue.total_kernel_time_s())   # modeled kernel time
+
+Subpackages load on first use (``repro.dwarfs``, ``from repro import
+ocl``), so a short command pays only for the ones it touches.
 """
 
-__version__ = "1.0.0"
+import importlib
+import types
 
-from . import (
-    aiwc,
-    cache,
-    counters,
-    devices,
-    dwarfs,
-    harness,
-    io,
-    ocl,
-    perfmodel,
-    regress,
-    scheduling,
-    scibench,
-    sizing,
-    telemetry,
-    tuning,
-)
+__version__ = "1.0.0"
 
 __all__ = [
     "__version__",
@@ -59,3 +47,9 @@ __all__ = [
     "telemetry",
     "tuning",
 ]
+
+
+def __getattr__(name: str) -> types.ModuleType:
+    if name in __all__:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from .metrics import AIWCMetrics
@@ -84,6 +83,8 @@ def analyze(metrics: list[AIWCMetrics]) -> DiversityReport:
         row[i] = np.inf
         j = int(np.argmin(row))
         nearest[name] = (names[j], float(row[j]))
+
+    import networkx as nx
 
     graph = nx.Graph()
     for i, a in enumerate(names):

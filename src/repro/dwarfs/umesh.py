@@ -18,7 +18,6 @@ against a float64 reference and checks the discrete maximum principle
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import Delaunay
 
 from ..cache import trace as trace_mod
 from ..ocl import Context, Event, KernelSource, MemFlags, Program
@@ -40,6 +39,8 @@ def build_mesh(n_points: int, seed: int):
     Returns ``(points, row_ptr, columns, boundary_mask)`` where
     ``boundary_mask`` flags convex-hull vertices.
     """
+    from scipy.spatial import Delaunay
+
     rng = np.random.default_rng(seed)
     points = rng.uniform(0.0, 1.0, size=(n_points, 2))
     tri = Delaunay(points)

@@ -25,8 +25,6 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from scipy import stats as sps
-
 from ..harness.runner import RunResult
 from ..harness.sweep import MODEL_VERSION
 from .compare import Thresholds
@@ -298,6 +296,8 @@ def _welch_from_stats(m1: float, s1: float, n1: int,
         return math.nan, math.nan, d
     t = shift / math.sqrt(se2)
     df = se2 * se2 / (v1 * v1 / (n1 - 1) + v2 * v2 / (n2 - 1))
+    from scipy import stats as sps
+
     p = 2.0 * float(sps.t.sf(abs(t), df))
     return t, p, d
 

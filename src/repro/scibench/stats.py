@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
 
 
 @dataclass(frozen=True)
@@ -62,6 +61,8 @@ def summarize(samples, confidence: float = 0.95) -> SampleSummary:
     mean = min(max(float(x.mean()), lo), hi)
     std = float(x.std(ddof=1)) if n > 1 else 0.0
     if n > 1 and std > 0:
+        from scipy import stats as sps
+
         half = sps.t.ppf(0.5 + confidence / 2.0, df=n - 1) * std / math.sqrt(n)
     else:
         half = 0.0
@@ -99,6 +100,8 @@ def required_sample_size(
         raise ValueError(f"power must be in (0, 1), got {power}")
     if effect_size <= 0:
         raise ValueError(f"effect size must be positive, got {effect_size}")
+    from scipy import stats as sps
+
     z_alpha = sps.norm.ppf(1 - alpha / (2 if two_sided else 1))
     z_beta = sps.norm.ppf(power)
     n = 2.0 * ((z_alpha + z_beta) / effect_size) ** 2
@@ -114,6 +117,8 @@ def achieved_power(
     """Power achieved by a two-sample t-test with ``n`` per group."""
     if n < 2:
         return 0.0
+    from scipy import stats as sps
+
     z_alpha = sps.norm.ppf(1 - alpha / (2 if two_sided else 1))
     shift = effect_size * math.sqrt(n / 2.0)
     return float(sps.norm.cdf(shift - z_alpha))
@@ -142,6 +147,8 @@ def welch_t_test(a, b) -> tuple[float, float]:
         if shift == 0.0:
             return math.nan, math.nan
         return math.copysign(math.inf, shift), 0.0
+    from scipy import stats as sps
+
     result = sps.ttest_ind(x, y, equal_var=False)
     return float(result.statistic), float(result.pvalue)
 

@@ -161,6 +161,9 @@ def blob_from_wire(data: str | None) -> bytes | None:
     """Base64 text -> bytes; raises :class:`ProtocolError` on bad input."""
     if data is None:
         return None
+    if not isinstance(data, str):
+        raise ProtocolError(
+            f"invalid base64 blob: expected text, got {type(data).__name__}")
     try:
         return base64.b64decode(data.encode("ascii"), validate=True)
     except (ValueError, UnicodeEncodeError) as exc:

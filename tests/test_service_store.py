@@ -100,6 +100,11 @@ class TestProtocol:
         with pytest.raises(ProtocolError):
             blob_from_wire("!!! not base64 !!!")
 
+    @pytest.mark.parametrize("data", [5, 1.5, True, ["YQ=="], {"d": "YQ=="}])
+    def test_blob_from_wire_rejects_non_text(self, data):
+        with pytest.raises(ProtocolError, match="expected text"):
+            blob_from_wire(data)
+
 
 # ----------------------------------------------------------------------
 # Local backend
@@ -234,6 +239,9 @@ class _StubCacheHandler(socketserver.StreamRequestHandler):
     def answer(self, record: dict) -> dict:
         store = self.server.store  # type: ignore[attr-defined]
         rtype = record["type"]
+        canned = self.server.canned  # type: ignore[attr-defined]
+        if rtype in canned:
+            return canned[rtype]
         if rtype == "cache_get":
             blob = store.get((record["kind"], record["key"]))
             return {"type": "cache_blob", "data": blob_to_wire(blob)}
@@ -252,6 +260,8 @@ class _StubCacheServer(socketserver.ThreadingTCPServer):
     def __init__(self, address, store: dict):
         super().__init__(address, _StubCacheHandler)
         self.store = store
+        #: Fixed replies by request type, for a hub that answers wrongly.
+        self.canned: dict[str, dict] = {}
         self.connections = 0
         self.open_sockets: set = set()
         self.lock = threading.Lock()
@@ -306,6 +316,26 @@ class TestRemoteCacheBackend:
                 RemoteCacheBackend(host, port, timeout_s=5.0)) as backend:
             with pytest.raises(CacheBackendError):
                 backend._roundtrip({"type": "ping"})
+
+    @pytest.mark.parametrize("data", [5, ["YQ=="], {"d": "YQ=="}])
+    def test_non_text_blob_is_a_degraded_miss(self, stub_cache_server, data):
+        """A hub reply whose ``data`` is not base64 text is a counted
+        backend miss, not an exception out of ``SweepCache.get``."""
+        from repro.harness.sweep import SweepCache
+        from repro.telemetry.metrics import default_registry
+
+        stub_cache_server.canned["cache_get"] = {"type": "cache_blob",
+                                                 "data": data}
+        host, port = stub_cache_server.server_address
+        family = default_registry().counter("sweep_cache_degraded_total")
+        labels = {"backend": "remote", "op": "read", "reason": "backend"}
+        before = family.value(**labels)
+        cache = SweepCache(f"remote://{host}:{port}")
+        try:
+            assert cache.get("ab" * 32) is None
+        finally:
+            cache.close()
+        assert family.value(**labels) == before + 1
 
     def test_dead_store_degrades_to_uncached_run(self, caplog):
         """A sweep pointed at an unreachable store still completes:
